@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import psi
 
-from .distributions import GammaParams, digamma, gamma_kl
+from .distributions import GammaParams, gamma_kl, gamma_kl_terms
+from .graph import dense_labels
 
 # Gamma shapes hit alpha - 1 + count = 0 for edgeless candidates under the
 # uninformative prior; a tiny positive floor keeps them scorable.
@@ -73,29 +75,15 @@ def _clamp_shape(x):
     return (max(x, SHAPE_FLOOR), x < SHAPE_FLOOR)
 
 
-def _as_assignment(graph, partition):
-    """Normalize a partition (dict/list/array) to a dense int array."""
-    n = graph.node_count
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        try:
-            c = partition[i]
-        except (KeyError, IndexError):
-            raise ValueError(f"partition does not cover node {i}") from None
-        out[i] = c
-    # relabel to dense 0..k-1
-    _, dense = np.unique(out, return_inverse=True)
-    return dense
-
-
-def _within_edges(graph, assign):
-    w = 0
-    for i in range(graph.node_count):
-        ci = assign[i]
-        for j in graph.neighbors(i):
-            if i < j and assign[j] == ci:
-                w += 1
-    return w
+def _pair_sums(assign, e_d):
+    """Sums of E[d_i] E[d_j] over within-community and between-community pairs."""
+    n_comms = int(assign.max()) + 1
+    s_c = np.bincount(assign, weights=e_d, minlength=n_comms)
+    q_c = np.bincount(assign, weights=e_d * e_d, minlength=n_comms)
+    s_tot = float(e_d.sum())
+    same_pairs = float(((s_c * s_c - q_c) / 2.0).sum())
+    cross_pairs = (s_tot * s_tot - float((s_c * s_c).sum())) / 2.0
+    return same_pairs, cross_pairs
 
 
 def initial_variational_state(graph, priors):
@@ -122,7 +110,7 @@ def vb_update(graph, partition, state, priors):
     if graph.node_count == 0:
         lam = GammaParams(priors.alpha, priors.theta)
         return VariationalState(np.empty(0), np.empty(0), lam, lam, False)
-    assign = _as_assignment(graph, partition)
+    assign = dense_labels(partition, graph.node_count)
     alpha, theta = priors.alpha, priors.theta
 
     a_d = priors.alpha - 1.0 + graph.degrees.astype(float)
@@ -145,14 +133,9 @@ def vb_update(graph, partition, state, priors):
             f"(E[lambda_in]={e_lambda_in}, E[lambda_out]={e_lambda_out})")
     theta_d = 1.0 / denom
 
-    e_d = a_d * theta_d
-    s_c = np.bincount(assign, weights=e_d, minlength=n_comms)
-    q_c = np.bincount(assign, weights=e_d * e_d, minlength=n_comms)
-    s_tot = float(e_d.sum())
-    same_pairs = float(((s_c * s_c - q_c) / 2.0).sum())
-    cross_pairs = (s_tot * s_tot - float((s_c * s_c).sum())) / 2.0
+    same_pairs, cross_pairs = _pair_sums(assign, a_d * theta_d)
 
-    w_in = _within_edges(graph, assign)
+    w_in = graph.within_edges(assign)
     ai, c1 = _clamp_shape(alpha - 1.0 + w_in)
     theta_i = 1.0 / (1.0 / theta + same_pairs)
     ab, c2 = _clamp_shape(alpha - 1.0 + (graph.edge_count - w_in))
@@ -170,28 +153,22 @@ def vb_bound(graph, partition, state, priors):
     """
     if graph.node_count == 0:
         return 0.0
-    assign = _as_assignment(graph, partition)
+    assign = dense_labels(partition, graph.node_count)
     prior = GammaParams(priors.alpha, priors.theta)
 
-    e_log_d = np.array([digamma(a) for a in state.alpha_d]) + np.log(state.theta_d)
-    e_d = state.alpha_d * state.theta_d
-    w_in = _within_edges(graph, assign)
+    e_log_d = psi(state.alpha_d) + np.log(state.theta_d)
+    w_in = graph.within_edges(assign)
     m = graph.edge_count
     edge_term = float((graph.degrees * e_log_d).sum())
     edge_term += w_in * state.lambda_in.mean_log
     edge_term += (m - w_in) * state.lambda_out.mean_log
 
-    n_comms = int(assign.max()) + 1
-    s_c = np.bincount(assign, weights=e_d, minlength=n_comms)
-    q_c = np.bincount(assign, weights=e_d * e_d, minlength=n_comms)
-    s_tot = float(e_d.sum())
-    same_pairs = float(((s_c * s_c - q_c) / 2.0).sum())
-    cross_pairs = (s_tot * s_tot - float((s_c * s_c).sum())) / 2.0
+    same_pairs, cross_pairs = _pair_sums(assign, state.alpha_d * state.theta_d)
     quad = state.lambda_in.mean * same_pairs + state.lambda_out.mean * cross_pairs
 
-    kl = gamma_kl(state.lambda_in, prior) + gamma_kl(state.lambda_out, prior)
-    for a, t in zip(state.alpha_d, state.theta_d):
-        kl += gamma_kl(GammaParams(float(a), float(t)), prior)
+    kl = (gamma_kl(state.lambda_in, prior) + gamma_kl(state.lambda_out, prior)
+          + float(gamma_kl_terms(state.alpha_d, state.theta_d, prior.shape,
+                                 prior.scale).sum()))
     return edge_term - quad - kl
 
 

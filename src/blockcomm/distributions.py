@@ -1,5 +1,10 @@
 """Special functions and divergences shared by both model likelihoods.
 
+log_gamma and digamma are thin wrappers over math.lgamma and
+scipy.special.psi that reject arguments outside the positive reals; the
+Gamma KL is written once, elementwise, so the global bound can apply it to
+every node's degree factor in one array expression.
+
 Everything is evaluated in natural-log space; the counts fed into log_beta
 reach 1e8 and beyond, so linear-space Beta/Gamma values would overflow long
 before the scores become interesting.
@@ -8,21 +13,8 @@ before the scores become interesting.
 import math
 from dataclasses import dataclass
 
-# Lanczos coefficients, g = 7, 9 terms.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+import numpy as np
+from scipy.special import gammaln, psi
 
 
 @dataclass(frozen=True)
@@ -63,51 +55,17 @@ class BetaParams:
 
 
 def log_gamma(x):
-    """Natural log of the Gamma function for x > 0.
-
-    Lanczos approximation (g=7, 9 coefficients); arguments below 0.5 go
-    through the reflection formula so the series is only ever evaluated
-    where it converges fast.
-    """
+    """Natural log of the Gamma function for x > 0 (math.lgamma)."""
     if not (x > 0.0):
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # log Gamma(x) = log(pi / sin(pi x)) - log Gamma(1 - x)
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def digamma(x):
-    """Digamma psi(x) for x > 0.
-
-    Upward recurrence psi(x) = psi(x+1) - 1/x shifts the argument to >= 6,
-    where the asymptotic series is accurate to well below 1e-14.
-    """
+    """Digamma psi(x) for x > 0 (scipy.special.psi), as a Python float."""
     if not (x > 0.0):
         raise ValueError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < 6.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    # Bernoulli-number series: log x - 1/(2x) - sum B_2n / (2n x^2n).
-    series = (
-        math.log(x)
-        - 0.5 * inv
-        - inv2 * (1.0 / 12.0
-                  - inv2 * (1.0 / 120.0
-                            - inv2 * (1.0 / 252.0
-                                      - inv2 * (1.0 / 240.0
-                                                - inv2 * (1.0 / 132.0
-                                                          - inv2 * 691.0 / 32760.0)))))
-    )
-    return acc + series
+    return float(psi(x))
 
 
 def log_beta(p):
@@ -115,18 +73,20 @@ def log_beta(p):
     return log_gamma(p.a) + log_gamma(p.b) - log_gamma(p.a + p.b)
 
 
-def gamma_kl(p, q):
-    """KL divergence between Gamma distributions, KL(p || q).
+def gamma_kl_terms(shape_p, scale_p, shape_q, scale_q):
+    """Elementwise KL(Gamma(shape_p, scale_p) || Gamma(shape_q, scale_q)).
 
     Closed form in shape/scale parametrization:
     (a_p - a_q) psi(a_p) - log Gamma(a_p) + log Gamma(a_q)
       + a_q (log s_q - log s_p) + a_p (s_p / s_q - 1).
-    Non-negative for all valid parameters, zero iff p == q.
+    Arguments are floats or broadcastable arrays; the result is a numpy
+    scalar or array. Non-negative for valid parameters, zero iff p == q.
     """
-    return (
-        (p.shape - q.shape) * digamma(p.shape)
-        - log_gamma(p.shape)
-        + log_gamma(q.shape)
-        + q.shape * (math.log(q.scale) - math.log(p.scale))
-        + p.shape * (p.scale / q.scale - 1.0)
-    )
+    return ((shape_p - shape_q) * psi(shape_p) - gammaln(shape_p) + gammaln(shape_q)
+            + shape_q * (np.log(scale_q) - np.log(scale_p))
+            + shape_p * (scale_p / scale_q - 1.0))
+
+
+def gamma_kl(p, q):
+    """KL divergence KL(p || q) between two GammaParams, as a Python float."""
+    return float(gamma_kl_terms(p.shape, p.scale, q.shape, q.scale))

@@ -9,7 +9,7 @@ it carries no information).
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -131,7 +131,10 @@ def run_protocol(graph, truths, cfg, samples, rng, detector=None):
             node set; used to score externally computed communities.
 
     Returns:
-        (rows, summary) where summary maps metric names to mean/stderr.
+        (rows, summary) where summary maps metric names to mean/stderr. A
+        sample whose detection or scoring raises ValueError becomes a failed
+        row whose error reads "ValueError: <message>"; any other exception
+        propagates.
     """
     if not truths:
         raise ValueError("run_protocol requires a non-empty truth list")
@@ -148,10 +151,7 @@ def run_protocol(graph, truths, cfg, samples, rng, detector=None):
             if detector is not None:
                 found = set(detector(graph, seed, derived_rng(sample_seed, 0)))
             else:
-                sub_cfg = type(cfg)(method=cfg.method, restarts=cfg.restarts,
-                                    rng_seed=sample_seed, formal_N=cfg.formal_N,
-                                    max_passes=cfg.max_passes, priors=cfg.priors)
-                found = detect(graph, seed, sub_cfg).members
+                found = detect(graph, seed, replace(cfg, rng_seed=sample_seed)).members
             elapsed = time.perf_counter() - start
             precision, recall = precision_recall_excluding_seed(found, truth, seed)
             with warnings.catch_warnings():
@@ -162,10 +162,10 @@ def run_protocol(graph, truths, cfg, samples, rng, detector=None):
             cond = (st.v - 2 * st.w) / st.v if st.v > 0 else 1.0
             rows.append(EvalRow(method, seed, len(truth), len(found),
                                 precision, recall, f1, cond, elapsed))
-        except Exception as exc:  # failed rows are recorded, not fatal
+        except ValueError as exc:  # domain failures are recorded, not fatal
             elapsed = time.perf_counter() - start
             rows.append(EvalRow(method, seed, len(truth), 0, 0.0, 0.0, 0.0, 1.0,
-                                elapsed, error=str(exc)))
+                                elapsed, error=f"{type(exc).__name__}: {exc}"))
     return rows, summarize(rows)
 
 

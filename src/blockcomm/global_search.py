@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcbm import SHAPE_FLOOR, initial_variational_state, vb_bound, vb_update
-from .distributions import BetaParams, GammaParams, log_beta
-from .sbm import SbmPriors, exact_edge_counts, log_partition_prior, sbm_log_likelihood
+from .distributions import GammaParams
+from .graph import dense_labels
+from .sbm import (EdgeCounts, SbmPriors, exact_edge_counts, log_partition_prior,
+                  sbm_log_likelihood)
 
 _ACCEPT_EPS = 1e-9
 
@@ -43,8 +45,7 @@ class Partition:
 
     @staticmethod
     def from_assignment(assignment):
-        arr = np.asarray(assignment, dtype=np.int64)
-        _, dense = np.unique(arr, return_inverse=True)
+        dense = dense_labels(assignment, len(assignment))
         return Partition(dense, np.bincount(dense))
 
     def communities(self):
@@ -148,15 +149,6 @@ class _PriorTracker:
                 + self.term(s_b + s_u) - self.term(s_b))
 
 
-def _gsbm_counts_value(ai_plus, within_pairs, m, total_pairs, priors):
-    """SBM log likelihood as a function of the two partition-dependent totals."""
-    ap, am = priors.alpha_plus, priors.alpha_minus
-    return (log_beta(BetaParams(ap + ai_plus, am + (within_pairs - ai_plus)))
-            + log_beta(BetaParams(ap + (m - ai_plus),
-                                  am + (total_pairs - within_pairs - (m - ai_plus))))
-            - 2.0 * log_beta(BetaParams(ap, am)))
-
-
 def _neighbor_comm_weights(sup, comm, u):
     wsum = {}
     for vtx, wt in sup.weights[u].items():
@@ -178,7 +170,8 @@ def _move_phase_gsbm(sup, m, total_pairs, priors, rng, audit=None):
     ai_plus = sum(sup.internal)
     within_pairs = sum(_pairs(s) for s in csize.values())
     prior = _PriorTracker(priors.gamma_exp, csize)
-    cur_lik = _gsbm_counts_value(ai_plus, within_pairs, m, total_pairs, priors)
+    cur_lik = sbm_log_likelihood(
+        EdgeCounts.from_totals(ai_plus, within_pairs, m, total_pairs), priors)
     next_id = n
     improved = False
     while True:
@@ -200,8 +193,8 @@ def _move_phase_gsbm(sup, m, total_pairs, priors, rng, audit=None):
                 d_ai = e_ub - e_ua
                 d_wp = (_pairs(s_a - s_u) - _pairs(s_a)
                         + _pairs(s_b + s_u) - _pairs(s_b))
-                lik_new = _gsbm_counts_value(ai_plus + d_ai, within_pairs + d_wp,
-                                             m, total_pairs, priors)
+                lik_new = sbm_log_likelihood(EdgeCounts.from_totals(
+                    ai_plus + d_ai, within_pairs + d_wp, m, total_pairs), priors)
                 d_prior = prior.move_delta(s_a, s_b, s_u)
                 delta = (lik_new - cur_lik) + d_prior
                 if best is None or delta > best[0]:
@@ -420,21 +413,21 @@ def _merge_bootstrap(graph, sup, orig_to_super, objective, priors):
         total_pairs = _pairs(graph.node_count)
         state = {"ai": sum(sup.internal),
                  "wp": sum(_pairs(s) for s in sup.size)}
-        state["lik"] = _gsbm_counts_value(state["ai"], state["wp"], m,
-                                          total_pairs, sbm_priors)
+        state["lik"] = sbm_log_likelihood(EdgeCounts.from_totals(
+            state["ai"], state["wp"], m, total_pairs), sbm_priors)
 
         def delta_fn(a, b, e_ab, size):
-            lik_new = _gsbm_counts_value(state["ai"] + e_ab,
-                                         state["wp"] + size[a] * size[b],
-                                         m, total_pairs, sbm_priors)
+            lik_new = sbm_log_likelihood(EdgeCounts.from_totals(
+                state["ai"] + e_ab, state["wp"] + size[a] * size[b], m, total_pairs),
+                sbm_priors)
             return (lik_new - state["lik"] + prior.term(size[a] + size[b])
                     - prior.term(size[a]) - prior.term(size[b]))
 
         def apply_fn(a, b, e_ab, size):
             state["ai"] += e_ab
             state["wp"] += size[a] * size[b]
-            state["lik"] = _gsbm_counts_value(state["ai"], state["wp"], m,
-                                              total_pairs, sbm_priors)
+            state["lik"] = sbm_log_likelihood(EdgeCounts.from_totals(
+                state["ai"], state["wp"], m, total_pairs), sbm_priors)
     else:
         s_u, _ = _frozen_aggregates(graph, orig_to_super, sup.n, vb_state)
         mean_in, log_in = _lambda_moments(vb_state.lambda_in, priors)

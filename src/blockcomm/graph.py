@@ -1,11 +1,13 @@
-"""Immutable undirected simple graphs and community sufficient statistics.
+"""Immutable undirected simple graphs in CSR form and community statistics.
 
 Node ids from input files are compacted to dense 0-based indices at load
 time; every other module works in the dense index space and only the I/O
-layer translates back to external labels.
+layer translates back to external labels. The neighbor lists of all nodes
+sit back to back in one read-only array (compressed sparse row), so counts
+over a whole partition are single numpy expressions.
 """
 
-import math
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -13,14 +15,17 @@ import numpy as np
 
 
 class Graph:
-    """Undirected simple graph with per-node sorted neighbor arrays.
+    """Undirected simple graph stored as read-only CSR arrays.
 
     Immutable after construction and safe to share across worker threads.
 
     Attributes:
         node_count: number of nodes N.
         edge_count: number of edges M (each edge counted once).
-        adjacency: list of sorted int64 arrays, adjacency[i] = neighbors of i.
+        indptr: int64 array of N + 1 offsets into indices.
+        indices: int64 array of 2M neighbor ids; the neighbors of node i are
+            indices[indptr[i]:indptr[i + 1]], sorted when built by from_edges.
+        degrees: int64 array, degrees[i] = indptr[i + 1] - indptr[i].
         node_labels: dict external id -> dense internal index (identity-free
             graphs built in memory use i -> i).
         external_ids: list, inverse of node_labels.
@@ -28,22 +33,31 @@ class Graph:
             were ignored to keep the graph simple.
     """
 
-    __slots__ = ("node_count", "edge_count", "adjacency", "node_labels",
-                 "external_ids", "degrees", "dropped_duplicates", "dropped_self_loops")
+    __slots__ = ("node_count", "edge_count", "indptr", "indices", "degrees",
+                 "node_labels", "external_ids", "dropped_duplicates", "dropped_self_loops")
 
     def __init__(self, node_count, adjacency, node_labels=None, external_ids=None,
                  dropped_duplicates=0, dropped_self_loops=0):
-        self.node_count = node_count
-        # Freeze neighbor arrays so the graph is safely shareable.
-        adjacency = [np.asarray(a, dtype=np.int64) for a in adjacency]
-        for arr in adjacency:
-            arr.setflags(write=False)
-        self.adjacency = adjacency
-        self.degrees = np.array([len(a) for a in adjacency], dtype=np.int64)
-        total = int(self.degrees.sum())
+        """Build from per-node neighbor lists, adjacency[i] = neighbors of i."""
+        degrees = np.array([len(a) for a in adjacency], dtype=np.int64)
+        indices = np.fromiter(itertools.chain.from_iterable(adjacency), dtype=np.int64,
+                              count=int(degrees.sum()))
+        self._set_arrays(node_count, indices, degrees, node_labels, external_ids,
+                         dropped_duplicates, dropped_self_loops)
+
+    def _set_arrays(self, node_count, indices, degrees, node_labels, external_ids,
+                    dropped_duplicates, dropped_self_loops):
+        total = int(degrees.sum())
         if total % 2 != 0:
             raise ValueError("adjacency lists do not describe an undirected graph")
+        indptr = np.zeros(node_count + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        # Freeze the arrays so the graph is safely shareable.
+        for arr in (indptr, indices, degrees):
+            arr.setflags(write=False)
+        self.node_count = node_count
         self.edge_count = total // 2
+        self.indptr, self.indices, self.degrees = indptr, indices, degrees
         if external_ids is None:
             external_ids = list(range(node_count))
         if node_labels is None:
@@ -54,26 +68,61 @@ class Graph:
         self.dropped_self_loops = dropped_self_loops
 
     def neighbors(self, i):
-        """Sorted neighbor array of node i (dense index)."""
-        return self.adjacency[i]
+        """Read-only view of node i's neighbor array (dense index)."""
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def degree(self, i):
         return int(self.degrees[i])
 
+    def within_edges(self, labels):
+        """Number of edges whose two ends carry the same label.
+
+        labels: array of one community id per node.
+        """
+        labels = np.asarray(labels)
+        same = np.repeat(labels, self.degrees) == labels[self.indices]
+        return int(np.count_nonzero(same)) // 2
+
     @staticmethod
     def from_edges(node_count, edges, node_labels=None, external_ids=None,
                    dropped_duplicates=0, dropped_self_loops=0):
-        """Build a Graph from an iterable of (i, j) dense-index pairs.
+        """Build a Graph from (i, j) dense-index pairs (a sequence or an (M, 2) array).
 
         The pairs must already be deduplicated and self-loop free.
         """
-        adj = [[] for _ in range(node_count)]
-        for i, j in edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        adjacency = [np.array(sorted(a), dtype=np.int64) for a in adj]
-        return Graph(node_count, adjacency, node_labels, external_ids,
-                     dropped_duplicates, dropped_self_loops)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        degrees = np.bincount(pairs.ravel(), minlength=node_count)
+        # Sort both orientations of every edge by the key row * N + column,
+        # then keep the columns, in place to hold one 2M-entry buffer.
+        indices = np.concatenate((pairs[:, 0] * node_count + pairs[:, 1],
+                                  pairs[:, 1] * node_count + pairs[:, 0]))
+        indices.sort()
+        indices %= node_count
+        graph = object.__new__(Graph)
+        graph._set_arrays(node_count, indices, degrees, node_labels, external_ids,
+                          dropped_duplicates, dropped_self_loops)
+        return graph
+
+
+def dense_labels(partition, node_count):
+    """Community labels of nodes 0..node_count-1, relabelled to dense 0..k-1.
+
+    partition: dict, list or array giving each dense node index a label;
+    labels may be any mutually comparable values (ints, strings). Dense ids
+    follow the sorted order of the labels.
+
+    Raises:
+        ValueError: naming the first node without a label.
+    """
+    if isinstance(partition, dict):
+        partition = [partition.get(i) for i in range(node_count)]
+    labels = np.asarray(partition)[:node_count]
+    covered = len(labels)
+    if labels.dtype == object:
+        covered = next((i for i, c in enumerate(labels) if c is None), covered)
+    if covered < node_count:
+        raise ValueError(f"partition does not cover node {covered}")
+    return np.unique(labels, return_inverse=True)[1]
 
 
 @dataclass(frozen=True)
@@ -142,7 +191,7 @@ def load_edge_list(stream):
         raise ValueError("empty edge list: no edges found in input")
     if dup or loops:
         warnings.warn(f"dropped {dup} duplicate edge(s) and {loops} self-loop(s)")
-    return Graph.from_edges(len(external_ids), sorted(edges), labels, external_ids,
+    return Graph.from_edges(len(external_ids), list(edges), labels, external_ids,
                             dropped_duplicates=dup, dropped_self_loops=loops)
 
 
@@ -175,7 +224,7 @@ def write_edge_list(graph, stream):
     """Write the graph in the format load_edge_list reads (external ids)."""
     ext = graph.external_ids
     for i in range(graph.node_count):
-        for j in graph.adjacency[i]:
+        for j in graph.neighbors(i):
             if i < j:
                 stream.write(f"{ext[i]} {ext[j]}\n")
 

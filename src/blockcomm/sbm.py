@@ -12,7 +12,10 @@ tiled by k = N/n identical copies of it.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import BetaParams, log_beta
+from .graph import dense_labels
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,14 @@ class EdgeCounts:
     ab_minus: float
     degenerate: bool = False
 
+    @staticmethod
+    def from_totals(within_edges, within_pairs, edges, pairs):
+        """Counts of a partition from its within-community edge and pair
+        totals and the graph's edge and pair totals."""
+        between_edges = edges - within_edges
+        return EdgeCounts(within_edges, within_pairs - within_edges, between_edges,
+                          pairs - within_pairs - between_edges)
+
 
 def exact_edge_counts(graph, partition):
     """Exact EdgeCounts of a full partition.
@@ -59,28 +70,11 @@ def exact_edge_counts(graph, partition):
         ai+ + ai- + ab+ + ab- = N(N-1)/2 and ai+ + ab+ = M.
     """
     n = graph.node_count
-    sizes = {}
-    for i in range(n):
-        try:
-            c = partition[i]
-        except (KeyError, IndexError):
-            raise ValueError(f"partition does not cover node {i}") from None
-        if c is None:
-            raise ValueError(f"partition does not cover node {i}")
-        sizes[c] = sizes.get(c, 0) + 1
-    within_edges = 0
-    for i in range(n):
-        ci = partition[i]
-        for j in graph.neighbors(i):
-            if i < j and partition[j] == ci:
-                within_edges += 1
-    within_pairs = sum(s * (s - 1) // 2 for s in sizes.values())
-    total_pairs = n * (n - 1) // 2
-    ai_plus = within_edges
-    ai_minus = within_pairs - within_edges
-    ab_plus = graph.edge_count - within_edges
-    ab_minus = total_pairs - within_pairs - ab_plus
-    return EdgeCounts(ai_plus, ai_minus, ab_plus, ab_minus)
+    labels = dense_labels(partition, n)
+    sizes = np.bincount(labels)
+    within_pairs = int((sizes * (sizes - 1) // 2).sum())
+    return EdgeCounts.from_totals(graph.within_edges(labels), within_pairs,
+                                  graph.edge_count, n * (n - 1) // 2)
 
 
 def sbm_log_likelihood(counts, priors):
@@ -132,19 +126,9 @@ def asbm_tilde_counts(stats, N, M):
     if w > M:
         raise ValueError(f"community edge count {w} exceeds total edge count {M}")
     k = N / n
-    ai_plus = k * w
-    ai_minus = k * n * (n - 1) / 2.0 - ai_plus
-    ab_plus = M - ai_plus
-    ab_minus = N * (N - 1) / 2.0 - ai_plus - ai_minus - ab_plus
-    degenerate = False
-    clamped = []
-    for value in (ai_plus, ai_minus, ab_plus, ab_minus):
-        if value < 0.0:
-            degenerate = True
-            clamped.append(0.0)
-        else:
-            clamped.append(value)
-    return EdgeCounts(*clamped, degenerate=degenerate), k
+    tilde = EdgeCounts.from_totals(k * w, k * n * (n - 1) / 2.0, M, N * (N - 1) / 2.0)
+    values = (tilde.ai_plus, tilde.ai_minus, tilde.ab_plus, tilde.ab_minus)
+    return EdgeCounts(*(max(v, 0.0) for v in values), degenerate=min(values) < 0.0), k
 
 
 def asbm_log_score(stats, N, M, priors):

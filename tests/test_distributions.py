@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from blockcomm.dcbm import DcbmPriors
 from blockcomm.distributions import (BetaParams, GammaParams, digamma,
                                      gamma_kl, log_beta, log_gamma)
+from blockcomm.global_search import objective_value
+from blockcomm.local_search import SearchConfig, detect
+from blockcomm.sbm import SbmPriors
+
+from conftest import bridge_graph
 
 
 def test_log_gamma_exact_points():
@@ -137,3 +143,17 @@ def test_gamma_kl_nonnegative_grid():
         p = GammaParams(*rng.uniform(0.05, 20, size=2))
         q = GammaParams(*rng.uniform(0.05, 20, size=2))
         assert gamma_kl(p, q) >= -1e-12
+
+
+def test_public_numbers_are_python_floats():
+    # repr(np.float64(x)) is "np.float64(x)" under numpy 2, which would leak
+    # into every repr-based output line.
+    g = bridge_graph()
+    values = [log_gamma(np.float64(2.5)), digamma(np.float64(2.5)),
+              gamma_kl(GammaParams(2.0, 0.5), GammaParams(1.0, 1.0))]
+    for method in ("asbm", "adcbm"):
+        values.append(detect(g, 0, SearchConfig(method=method, restarts=2)).log_score)
+    partition = [0, 0, 0, 0, 1, 1, 1, 1]
+    values.append(objective_value(g, partition, "gsbm", SbmPriors()))
+    values.append(objective_value(g, partition, "gdcbm", DcbmPriors()))
+    assert [type(v) for v in values] == [float] * len(values)

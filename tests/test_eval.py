@@ -200,7 +200,7 @@ class TestRunProtocol:
 
         def detector(graph, seed, rng):
             if seed in boom:
-                raise RuntimeError("detector exploded")
+                raise ValueError("detector exploded")
             return next(t for t in self.truths if seed in t)
         detector.name = "flaky"
 
@@ -209,11 +209,18 @@ class TestRunProtocol:
                                      detector=detector)
         bad = [r for r in rows if r.error]
         good = [r for r in rows if not r.error]
-        assert bad and all("exploded" in r.error for r in bad)
+        assert bad and all(r.error == "ValueError: detector exploded" for r in bad)
         assert all(r.found_size == 0 and r.f1 == 0.0 for r in bad)
         assert summary["failed"] == len(bad)
         assert summary["samples"] == 30
         assert summary["mean_f1"] == 1.0  # failures excluded from the mean
+
+    def test_programming_errors_propagate(self):
+        def detector(graph, seed, rng):
+            raise TypeError("detector is broken")
+
+        with pytest.raises(TypeError, match="broken"):
+            run_protocol(self.g, self.truths, self.cfg, 3, make_rng(0), detector=detector)
 
     def test_empty_truths_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):

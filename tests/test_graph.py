@@ -238,3 +238,28 @@ class TestGraphValidation:
         g = graph_from_edges([(0, 1)])
         with pytest.raises((ValueError, RuntimeError)):
             g.neighbors(0)[0] = 5
+
+
+class TestCsr:
+    def test_from_edges_matches_adjacency_lists(self):
+        rng = make_rng(4)
+        edges = random_gnp(rng, 40, 0.1)
+        adj = [[] for _ in range(40)]
+        for i, j in edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        g = Graph.from_edges(40, edges[::-1])
+        h = Graph(40, [sorted(a) for a in adj])
+        for arr in ("indptr", "indices", "degrees"):
+            assert np.array_equal(getattr(g, arr), getattr(h, arr))
+        assert g.edge_count == len(edges)
+        assert all(list(g.neighbors(i)) == sorted(adj[i]) for i in range(40))
+
+    def test_within_edges_matches_loop(self):
+        rng = make_rng(9)
+        g = graph_from_edges(random_gnp(rng, 50, 0.15))
+        for _ in range(10):
+            labels = rng.integers(0, 4, size=g.node_count)
+            ref = sum(1 for i in range(g.node_count) for j in g.neighbors(i)
+                      if i < j and labels[i] == labels[j])
+            assert g.within_edges(labels) == ref
