@@ -181,9 +181,13 @@ def solve_theta_d(v_hat, m_hat, mean_lambda_in, mean_lambda_out, theta):
     cancellation-free form 2 / (1/theta + sqrt(1/theta^2 + 4c)).
     """
     c = mean_lambda_in * v_hat + mean_lambda_out * (m_hat - v_hat)
+    return _theta_d_root(c, theta, 1.0 / theta)
+
+
+def _theta_d_root(c, theta, inv_t):
+    """Positive root of c x^2 + x/theta - 1 = 0, given inv_t = 1/theta."""
     if c == 0.0:
         return theta
-    inv_t = 1.0 / theta
     return 2.0 / (inv_t + math.sqrt(inv_t * inv_t + 4.0 * c))
 
 
@@ -228,6 +232,12 @@ def adcbm_local_fit(stats, N, M, priors, max_iter=50, tol=1e-10):
                               GammaParams(ai, theta), GammaParams(ab, theta), k,
                               degenerate=True, clamped=clamped)
 
+    # Loop invariants, each grouped exactly as the update formulas evaluate
+    # them, so the iterates are the same to the bit as without hoisting.
+    inv_theta = 1.0 / theta
+    pairs_in = k * (v_hat * v_hat - k_sq)
+    pairs_out = m_hat * m_hat - k * v_hat * v_hat
+    v_out = m_hat - v_hat
     e_in = prior_mean
     e_out = prior_mean
     theta_d = theta
@@ -236,19 +246,17 @@ def adcbm_local_fit(stats, N, M, priors, max_iter=50, tol=1e-10):
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        theta_d_new = solve_theta_d(v_hat, m_hat, e_in, e_out, theta)
+        theta_d_new = _theta_d_root(e_in * v_hat + e_out * v_out, theta, inv_theta)
         td2 = theta_d_new * theta_d_new
-        theta_i = 1.0 / (1.0 / theta + k * (v_hat * v_hat - k_sq) * td2 / 2.0)
-        theta_b = 1.0 / (1.0 / theta + (m_hat * m_hat - k * v_hat * v_hat) * td2 / 2.0)
+        theta_i = 1.0 / (inv_theta + pairs_in * td2 / 2.0)
+        theta_b = 1.0 / (inv_theta + pairs_out * td2 / 2.0)
         e_in_new = ai * theta_i
         e_out_new = ab * theta_b
-        moves = (
-            abs(theta_d_new - theta_d) / max(theta_d, 1e-300),
-            abs(e_in_new - e_in) / max(e_in, 1e-300),
-            abs(e_out_new - e_out) / max(e_out, 1e-300),
-        )
+        done = (abs(theta_d_new - theta_d) / max(theta_d, 1e-300) < tol
+                and abs(e_in_new - e_in) / max(e_in, 1e-300) < tol
+                and abs(e_out_new - e_out) / max(e_out, 1e-300) < tol)
         theta_d, e_in, e_out = theta_d_new, e_in_new, e_out_new
-        if max(moves) < tol:
+        if done:
             converged = True
             break
     return LocalDcbmState(v_hat, m_hat, k_sq, theta_d,

@@ -125,7 +125,7 @@ def dense_labels(partition, node_count):
     return np.unique(labels, return_inverse=True)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommunityStats:
     """Sufficient statistics of one candidate community.
 
@@ -255,9 +255,7 @@ def community_stats(graph, members, alpha=1.0):
         deg = graph.degree(i)
         v += deg
         sumsq += (alpha - 1.0 + deg) ** 2
-        for j in graph.neighbors(i):
-            if j in member_set:
-                twice_w += 1
+        twice_w += len(member_set.intersection(graph.neighbors(i).tolist()))
     return CommunityStats(n=n, w=twice_w // 2, v=v, sumsq_alpha_d=sumsq)
 
 
@@ -270,13 +268,13 @@ def add_node_delta(stats, graph, u, members, alpha=1.0):
     Raises:
         ValueError: if u is already a member.
     """
+    if not isinstance(members, (set, frozenset)):
+        members = set(members)
     if u in members:
         raise ValueError(f"node {u} is already a community member")
     deg = graph.degree(u)
-    dw = 0
-    for j in graph.neighbors(u):
-        if j in members:
-            dw += 1
+    # Python ints from tolist() hash faster than numpy scalars.
+    dw = len(members.intersection(graph.neighbors(u).tolist()))
     return CommunityStats(
         n=stats.n + 1,
         w=stats.w + dw,

@@ -4,7 +4,9 @@ The search grows a community from the seed by repeatedly scanning the
 frontier (neighbors of current members) in a shuffled order and keeping any
 node whose addition strictly improves the score. It touches only members,
 the frontier, and the frontier's neighbors, so the cost scales with the
-recovered community's volume rather than the graph size.
+recovered community's volume rather than the graph size. Restarts from
+one seed, and the repeated scans of a frontier, offer many of the same
+candidates, so detect scores each distinct candidate once per call.
 """
 
 import time
@@ -126,9 +128,20 @@ def detect(graph, seed, cfg):
 
     Restart r draws its shuffles from the stream rng_seed XOR r; ties in the
     final score go to the lower restart index, which keeps the outcome
-    deterministic even if restarts were run concurrently.
+    deterministic even if restarts were run concurrently. Each distinct
+    candidate is scored once per call: the score is a pure function of the
+    candidate's CommunityStats, so restarts and repeated frontier scans reuse
+    it, and the result is the same as scoring every candidate afresh.
     """
-    scorer, alpha = make_scorer(graph, cfg)
+    score_of, alpha = make_scorer(graph, cfg)
+    memo = {}
+
+    def scorer(stats):
+        score = memo.get(stats)
+        if score is None:
+            score = memo[stats] = score_of(stats)
+        return score
+
     best = None
     for r in range(cfg.restarts):
         rng = derived_rng(cfg.rng_seed, r)

@@ -413,6 +413,113 @@ class TestLocalFit:
             adcbm_local_fit(stats, 100, 5.9, UNIFORM)
 
 
+def reference_local_fit(stats, N, M, priors, max_iter=50, tol=1e-10):
+    """The local fit as first written: every quantity recomputed per
+    iteration and the stopping rule taken as the max of a tuple."""
+    alpha, theta = priors.alpha, priors.theta
+    n, w, v = stats.n, stats.w, stats.v
+    prior_mean = alpha * theta
+    if v <= 0:
+        return LocalDcbmState(0.0, 2.0 * M + N * (alpha - 1.0), stats.sumsq_alpha_d,
+                              theta, GammaParams(SHAPE_FLOOR, theta),
+                              GammaParams(SHAPE_FLOOR, theta), 0.0,
+                              degenerate=True, clamped=True)
+    k = 2.0 * M / v
+    v_hat = v + n * (alpha - 1.0)
+    m_hat = 2.0 * M + N * (alpha - 1.0)
+    k_sq = stats.sumsq_alpha_d
+
+    def _clamp_shape(x):
+        return (max(x, SHAPE_FLOOR), x < SHAPE_FLOOR)
+
+    ai, c1 = _clamp_shape(alpha - 1.0 + k * w)
+    ab, c2 = _clamp_shape(alpha - 1.0 + (M - k * w))
+    clamped = c1 or c2
+    degenerate = k < 1.0 or m_hat * m_hat < k * v_hat * v_hat
+    if degenerate:
+        return LocalDcbmState(v_hat, m_hat, k_sq, theta,
+                              GammaParams(ai, theta), GammaParams(ab, theta), k,
+                              degenerate=True, clamped=clamped)
+
+    e_in = prior_mean
+    e_out = prior_mean
+    theta_d = theta
+    theta_i = theta
+    theta_b = theta
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        theta_d_new = solve_theta_d(v_hat, m_hat, e_in, e_out, theta)
+        td2 = theta_d_new * theta_d_new
+        theta_i = 1.0 / (1.0 / theta + k * (v_hat * v_hat - k_sq) * td2 / 2.0)
+        theta_b = 1.0 / (1.0 / theta + (m_hat * m_hat - k * v_hat * v_hat) * td2 / 2.0)
+        e_in_new = ai * theta_i
+        e_out_new = ab * theta_b
+        moves = (
+            abs(theta_d_new - theta_d) / max(theta_d, 1e-300),
+            abs(e_in_new - e_in) / max(e_in, 1e-300),
+            abs(e_out_new - e_out) / max(e_out, 1e-300),
+        )
+        theta_d, e_in, e_out = theta_d_new, e_in_new, e_out_new
+        if max(moves) < tol:
+            converged = True
+            break
+    return LocalDcbmState(v_hat, m_hat, k_sq, theta_d,
+                          GammaParams(ai, theta_i), GammaParams(ab, theta_b), k,
+                          degenerate=False, clamped=clamped,
+                          converged=converged, iterations=iterations)
+
+
+def reference_fit_cases(priors):
+    """(stats, N, M) covering cliques, a bridge, an edgeless singleton, a
+    degenerate zero-volume node and a large sparse graph's community."""
+    bridge, matched = bridge_graph(), matched_cliques(8)
+    edgeless_node = Graph.from_edges(3, [(0, 1)])
+    alpha = priors.alpha
+    cases = [
+        (community_stats(bridge, {0, 1, 2, 3}, alpha), bridge.node_count, bridge.edge_count),
+        (community_stats(bridge, {2, 3, 4}, alpha), bridge.node_count, bridge.edge_count),
+        (community_stats(bridge, {0}, alpha), bridge.node_count, bridge.edge_count),
+        (community_stats(matched, set(range(8)), alpha), matched.node_count,
+         matched.edge_count),
+        (community_stats(matched, set(range(12)), alpha), matched.node_count,
+         matched.edge_count),
+        (community_stats(edgeless_node, {2}, alpha), 3, 1),
+    ]
+    # Communities of a graph the size of the local-adcbm benchmark's, where
+    # 50 iterations stop short of the fixed point.
+    for n, w, v, spread in ((50, 1400, 3400, 1.05), (12, 40, 700, 1.05), (1, 0, 70, 1.0)):
+        mean_deg = v / n + alpha - 1.0
+        cases.append((CommunityStats(n, w, v, spread * n * mean_deg * mean_deg),
+                      2000.0, 68490.0))
+    return cases
+
+
+class TestLocalFitMatchesReferenceLoop:
+    @pytest.mark.parametrize("priors", [UNIFORM, DcbmPriors(alpha=1.7, theta=0.6)])
+    @pytest.mark.parametrize("max_iter", [1, 50, 5000])
+    def test_every_field_identical(self, priors, max_iter):
+        fits = []
+        for stats, N, M in reference_fit_cases(priors):
+            fit = adcbm_local_fit(stats, N, M, priors, max_iter=max_iter)
+            assert fit == reference_local_fit(stats, N, M, priors, max_iter=max_iter)
+            fits.append(fit)
+        # The cases reach the zero-volume return and both loop exits.
+        solved = [f for f in fits if not f.degenerate]
+        assert len(solved) < len(fits)
+        assert any(f.converged for f in solved) == (max_iter > 1)
+        assert any(not f.converged for f in solved) or max_iter == 5000
+        if priors == UNIFORM:
+            assert any(f.clamped for f in solved)
+
+    def test_tiling_inconsistency_identical(self):
+        pri = DcbmPriors(alpha=52.0)
+        stats = CommunityStats(n=2, w=1, v=2, sumsq_alpha_d=2 * 52.0**2)
+        fit = adcbm_local_fit(stats, 12, 46, pri)
+        assert fit.degenerate and not fit.clamped
+        assert fit == reference_local_fit(stats, 12, 46, pri)
+
+
 def inject_local(g, fit, priors):
     a_d = np.maximum(priors.alpha - 1.0 + g.degrees.astype(float), SHAPE_FLOOR)
     return VariationalState(

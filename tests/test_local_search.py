@@ -1,11 +1,14 @@
 """Greedy seed expansion: argmax correctness, determinism, and locality."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
+from blockcomm import local_search
 from blockcomm.dcbm import DcbmPriors
-from blockcomm.graph import Graph, community_stats
+from blockcomm.generators import PlantedSpec, sample_sbm
+from blockcomm.graph import Graph, add_node_delta, community_stats
 from blockcomm.local_search import (
     DetectionResult,
     SearchConfig,
@@ -13,7 +16,7 @@ from blockcomm.local_search import (
     greedy_expand,
     make_scorer,
 )
-from blockcomm.rng import derived_rng
+from blockcomm.rng import derived_rng, make_rng
 from blockcomm.sbm import SbmPriors
 
 from conftest import bridge_graph, clique_edges, disjoint_cliques, graph_from_edges
@@ -226,3 +229,67 @@ class TestLocality:
         permuted = detect(h, perm[0], cfg)
         assert permuted.log_score == base.log_score
         assert permuted.members == {perm[i] for i in base.members}
+
+
+def planted_fixture():
+    spec = PlantedSpec(communities=4, size=15, lambda_in=0.5, lambda_out=0.03)
+    graph, _ = sample_sbm(spec, make_rng(4))
+    return graph
+
+
+def reference_detect(graph, seed, cfg):
+    """Best of restarts with every candidate scored afresh."""
+    scorer, alpha = make_scorer(graph, cfg)
+    best = None
+    for r in range(cfg.restarts):
+        result = greedy_expand(graph, seed, scorer, derived_rng(cfg.rng_seed, r),
+                               alpha=alpha, max_passes=cfg.max_passes)
+        result.restart_index = r
+        if best is None or result.log_score > best.log_score:
+            best = result
+    return best
+
+
+class TestScoreOnce:
+    @pytest.mark.parametrize("method,score_name",
+                             [("asbm", "asbm_log_score"), ("adcbm", "adcbm_log_score")])
+    def test_each_distinct_candidate_scored_once(self, monkeypatch, method, score_name):
+        g = planted_fixture()
+        cfg = SearchConfig(method=method, restarts=6, rng_seed=2)
+        score = getattr(local_search, score_name)
+        calls = Counter()
+
+        def counting(stats, *args):
+            calls[stats] += 1
+            return score(stats, *args)
+
+        monkeypatch.setattr(local_search, score_name, counting)
+        detect(g, 0, cfg)
+        assert calls and max(calls.values()) == 1
+        # Without the memo the same search offers candidates repeatedly.
+        calls.clear()
+        reference_detect(g, 0, cfg)
+        assert max(calls.values()) > 1
+
+    @pytest.mark.parametrize("method", ["asbm", "adcbm"])
+    def test_result_equals_memo_free_search(self, method):
+        g = planted_fixture()
+        for seed, rng_seed in ((0, 0), (17, 5), (33, 11), (58, 3)):
+            cfg = SearchConfig(method=method, restarts=5, rng_seed=rng_seed)
+            got, want = detect(g, seed, cfg), reference_detect(g, seed, cfg)
+            assert got.members == want.members
+            assert got.log_score == want.log_score
+            assert got.stats == want.stats
+            assert (got.restart_index, got.passes) == (want.restart_index, want.passes)
+
+
+class TestAddNodeDeltaMemberTypes:
+    @pytest.mark.parametrize("container", [set, frozenset, list])
+    def test_any_member_container(self, container):
+        g = bridge_graph()
+        members = container([0, 1, 2])
+        stats = community_stats(g, {0, 1, 2})
+        assert add_node_delta(stats, g, 3, members) == community_stats(g, {0, 1, 2, 3})
+        assert add_node_delta(stats, g, 4, members) == community_stats(g, {0, 1, 2, 4})
+        with pytest.raises(ValueError, match="already"):
+            add_node_delta(stats, g, 1, members)
