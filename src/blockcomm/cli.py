@@ -16,11 +16,11 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .dcbm import DcbmPriors
-from .evaluation import run_protocol
+from .evaluation import run_protocol, stats_conductance
 from .generators import PlantedSpec, sample_dcbm, sample_sbm
 from .global_search import louvain, objective_value
-from .graph import (community_stats, load_communities, load_edge_list,
-                    write_communities, write_edge_list)
+from .graph import (load_communities, load_edge_list, write_communities,
+                    write_edge_list)
 from .local_search import SearchConfig, detect
 from .rng import make_rng
 from .sbm import SbmPriors
@@ -101,7 +101,7 @@ def cmd_detect(args):
     cfg = _search_config(args)
     result = detect(graph, seed, cfg)
     st = result.stats
-    cond = (st.v - 2 * st.w) / st.v if st.v > 0 else 1.0
+    cond = stats_conductance(st)
     ext = sorted(graph.external_ids[i] for i in result.members)
     if args.json:
         payload = {"members": ext, "log_score": result.log_score,

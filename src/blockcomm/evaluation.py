@@ -76,7 +76,12 @@ def conductance(graph, members):
     stats = community_stats(graph, members)
     if stats.v == 0:
         raise ValueError("conductance is undefined for a zero-volume set")
-    return (stats.v - 2 * stats.w) / stats.v
+    return stats_conductance(stats)
+
+
+def stats_conductance(stats):
+    """Conductance (v - 2w) / v of a CommunityStats; 1.0 at zero volume."""
+    return (stats.v - 2 * stats.w) / stats.v if stats.v > 0 else 1.0
 
 
 def paired_t(a, b):
@@ -157,9 +162,7 @@ def run_protocol(graph, truths, cfg, samples, rng, detector=None):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 f1 = f1_excluding_seed(found, truth, seed)
-            st = community_stats(graph, found)
-            # report 1.0 for zero-volume sets where cut/vol is undefined
-            cond = (st.v - 2 * st.w) / st.v if st.v > 0 else 1.0
+            cond = stats_conductance(community_stats(graph, found))
             rows.append(EvalRow(method, seed, len(truth), len(found),
                                 precision, recall, f1, cond, elapsed))
         except ValueError as exc:  # domain failures are recorded, not fatal

@@ -1,12 +1,14 @@
 """Global community detection: Louvain-style ascent of the exact SBM
 posterior (gSBM) or the degree-corrected variational bound (gDCBM).
 
-Two phases alternate: local moving (each node greedily joins the neighboring
-community, or a fresh singleton, with the best objective gain) and
-aggregation into a community graph. The SBM objective moves are evaluated
-exactly from integer count deltas. The DCBM bound depends on variational
-parameters, which are frozen during a moving sweep and re-converged between
-sweeps; a sweep whose refreshed objective went down is rolled back.
+Two phases alternate: local moving and aggregation into a community graph.
+Both objectives share one moving sweep (each node greedily joins the
+neighboring community, or a fresh singleton, with the best objective gain)
+and one greedy merge scan; they differ only in a small per-model gain that
+prices a move or a merge. The gSBM gain is exact, from the within-edge and
+within-pair totals. The gDCBM gain holds the variational surrogate fixed;
+it is refitted between sweeps, and a sweep whose refitted objective went
+down is rolled back.
 """
 
 import math
@@ -28,7 +30,7 @@ def _lambda_moments(block, priors):
 
     A bucket with no observed edges has its posterior shape clamped at the
     floor, where psi(shape) is a huge negative number that would dominate
-    every frozen move delta. Rating such blocks at the prior mean instead
+    every frozen move or merge delta. Rating such blocks at the prior mean instead
     mirrors the prior-mean initialization of the local fit.
     """
     if block.shape <= SHAPE_FLOOR:
@@ -138,7 +140,7 @@ class _PriorTracker:
     def __init__(self, gamma_exp, sizes):
         self.g = gamma_exp
         self.lg = math.log(gamma_exp - 1.0)
-        self.total = sum(self.lg - self.g * math.log(s) for s in sizes.values() if s > 0)
+        self.total = sum(self.term(s) for s in sizes)
 
     def term(self, s):
         return self.lg - self.g * math.log(s) if s > 0 else 0.0
@@ -149,6 +151,100 @@ class _PriorTracker:
                 + self.term(s_b + s_u) - self.term(s_b))
 
 
+class _SbmGain:
+    """Exact SBM log-likelihood change of a move or a merge.
+
+    Tracks the within-community edge and pair totals and the likelihood at
+    them; a change is the likelihood at the shifted totals minus the current
+    one. Sizes are in original nodes.
+    """
+
+    def __init__(self, sup, m, total_pairs, priors):
+        self.m, self.total_pairs, self.priors = m, total_pairs, priors
+        self.ai = sum(sup.internal)
+        self.wp = sum(_pairs(s) for s in sup.size)
+        self.lik = self._lik(0, 0)
+
+    def _lik(self, d_ai, d_wp):
+        return sbm_log_likelihood(EdgeCounts.from_totals(
+            self.ai + d_ai, self.wp + d_wp, self.m, self.total_pairs), self.priors)
+
+    def _apply(self, d_ai, d_wp):
+        self.ai += d_ai
+        self.wp += d_wp
+        self.lik = self._lik(0, 0)
+
+    def move(self, u, a, b, d_e, s_u, s_a, s_b):
+        """Change when super-node u (size s_u) leaves community a for b.
+
+        Within pairs change by pairs(s_a - s_u) - pairs(s_a) + pairs(s_b +
+        s_u) - pairs(s_b), which is the integer s_u * (s_b + s_u - s_a).
+        """
+        return self._lik(d_e, s_u * (s_b + s_u - s_a)) - self.lik
+
+    def apply_move(self, u, a, b, d_e, s_u, s_a, s_b):
+        self._apply(d_e, s_u * (s_b + s_u - s_a))
+
+    def merge(self, a, b, e_ab, s_a, s_b):
+        """Change when communities a and b, joined by e_ab edges, merge."""
+        return self._lik(e_ab, s_a * s_b) - self.lik
+
+    def apply_merge(self, a, b, e_ab, s_a, s_b):
+        self._apply(e_ab, s_a * s_b)
+
+
+class _FrozenDcbmGain:
+    """gDCBM bound change of a move or a merge under a frozen surrogate.
+
+    Fits the surrogate on the partition comm[orig_to_super]; bound is the
+    fitted bound and floored says whether the within-rate shape sits at
+    SHAPE_FLOOR. With the factors frozen, the bound gains d_log per
+    within-community edge and loses d_mean per unit of within-community
+    sum of E[d_i] E[d_j], tracked through per-super-node and per-community
+    sums of E[d] and E[d]^2.
+    """
+
+    def __init__(self, graph, orig_to_super, comm, priors):
+        state, self.bound = _converge_vb(graph, comm[orig_to_super], priors)
+        self.floored = state.lambda_in.shape <= SHAPE_FLOOR
+        mean_in, log_in = _lambda_moments(state.lambda_in, priors)
+        mean_out, log_out = _lambda_moments(state.lambda_out, priors)
+        self.d_log, self.d_mean = log_in - log_out, mean_in - mean_out
+        e_d = state.alpha_d * state.theta_d
+        s_u = np.zeros(len(comm))
+        q_u = np.zeros(len(comm))
+        np.add.at(s_u, orig_to_super, e_d)
+        np.add.at(q_u, orig_to_super, e_d * e_d)
+        self.s_u, self.q_u = s_u.tolist(), q_u.tolist()
+        self.c_s, self.c_q = {}, {}
+        for u, c in enumerate(comm.tolist()):
+            self.c_s[c] = self.c_s.get(c, 0.0) + self.s_u[u]
+            self.c_q[c] = self.c_q.get(c, 0.0) + self.q_u[u]
+
+    def move(self, u, a, b, d_e, s_u, s_a, s_b):
+        """Change when super-node u leaves community a for b (-1: a new one)."""
+        su, qu = self.s_u[u], self.q_u[u]
+        sa, qa = self.c_s[a], self.c_q[a]
+        sb, qb = self.c_s.get(b, 0.0), self.c_q.get(b, 0.0)
+        d_same = (((sa - su) ** 2 - (qa - qu)) / 2.0 - (sa * sa - qa) / 2.0
+                  + ((sb + su) ** 2 - (qb + qu)) / 2.0 - (sb * sb - qb) / 2.0)
+        return d_e * self.d_log - self.d_mean * d_same
+
+    def apply_move(self, u, a, b, d_e, s_u, s_a, s_b):
+        self.c_s[a] -= self.s_u[u]
+        self.c_q[a] -= self.q_u[u]
+        self.c_s[b] = self.c_s.get(b, 0.0) + self.s_u[u]
+        self.c_q[b] = self.c_q.get(b, 0.0) + self.q_u[u]
+
+    def merge(self, a, b, e_ab, s_a, s_b):
+        """Change when communities a and b, joined by e_ab edges, merge."""
+        return e_ab * self.d_log - self.d_mean * self.c_s[a] * self.c_s[b]
+
+    def apply_merge(self, a, b, e_ab, s_a, s_b):
+        self.c_s[a] += self.c_s.pop(b)
+        self.c_q[a] += self.c_q.pop(b)
+
+
 def _neighbor_comm_weights(sup, comm, u):
     wsum = {}
     for vtx, wt in sup.weights[u].items():
@@ -157,175 +253,95 @@ def _neighbor_comm_weights(sup, comm, u):
     return wsum
 
 
+def _sweep(sup, comm, csize, prior, gain, rng, on_move=None):
+    """One pass of greedy single-node moves in random order.
+
+    Each super-node joins the neighboring community, or a fresh singleton,
+    whose gain plus prior change is largest, when that exceeds _ACCEPT_EPS.
+    comm, csize (original nodes per community id; a fresh community takes id
+    len(csize)), prior and gain are updated in place, and on_move, if given,
+    is called after every accepted move. Returns the number of moves.
+    """
+    moved = 0
+    for u in rng.permutation(sup.n):
+        u = int(u)
+        a = int(comm[u])
+        s_u, s_a = sup.size[u], csize[a]
+        wsum = _neighbor_comm_weights(sup, comm, u)
+        e_ua = wsum.get(a, 0)
+        candidates = sorted(c for c in wsum if c != a)
+        if s_a > s_u:
+            candidates.append(-1)  # fresh singleton community
+        best = None
+        for b in candidates:
+            d_e, s_b = wsum.get(b, 0) - e_ua, csize.get(b, 0)
+            d_prior = prior.move_delta(s_a, s_b, s_u)
+            delta = gain.move(u, a, b, d_e, s_u, s_a, s_b) + d_prior
+            if best is None or delta > best[0]:
+                best = (delta, b, d_e, s_b, d_prior)
+        if best is None or best[0] <= _ACCEPT_EPS:
+            continue
+        _, b, d_e, s_b, d_prior = best
+        if b == -1:
+            b = len(csize)
+            csize[b] = 0
+        gain.apply_move(u, a, b, d_e, s_u, s_a, s_b)
+        prior.total += d_prior
+        comm[u] = b
+        csize[a] -= s_u
+        csize[b] += s_u
+        moved += 1
+        if on_move is not None:
+            on_move()
+    return moved
+
+
 def _move_phase_gsbm(sup, m, total_pairs, priors, rng, audit=None):
-    """Local moving with exact count-delta evaluation.
+    """Local moving under the exact SBM gain, sweeping until nothing moves.
 
     Returns (community array over super-nodes, improved flag). audit, if
     given, is called after every accepted move with (comm copy, objective)
     so tests can compare against from-scratch evaluation.
     """
-    n = sup.n
-    comm = np.arange(n, dtype=np.int64)
-    csize = {u: sup.size[u] for u in range(n)}
-    ai_plus = sum(sup.internal)
-    within_pairs = sum(_pairs(s) for s in csize.values())
-    prior = _PriorTracker(priors.gamma_exp, csize)
-    cur_lik = sbm_log_likelihood(
-        EdgeCounts.from_totals(ai_plus, within_pairs, m, total_pairs), priors)
-    next_id = n
+    comm = np.arange(sup.n, dtype=np.int64)
+    csize = dict(enumerate(sup.size))
+    prior = _PriorTracker(priors.gamma_exp, sup.size)
+    gain = _SbmGain(sup, m, total_pairs, priors)
+    on_move = None if audit is None else (
+        lambda: audit(comm.copy(), gain.lik + prior.total))
     improved = False
-    while True:
-        moved = 0
-        for u in rng.permutation(n):
-            u = int(u)
-            a = int(comm[u])
-            s_u = sup.size[u]
-            wsum = _neighbor_comm_weights(sup, comm, u)
-            e_ua = wsum.get(a, 0)
-            s_a = csize[a]
-            candidates = sorted(c for c in wsum if c != a)
-            if s_a > s_u:
-                candidates.append(-1)  # fresh singleton community
-            best = None
-            for b in candidates:
-                e_ub = wsum.get(b, 0)
-                s_b = csize.get(b, 0) if b != -1 else 0
-                d_ai = e_ub - e_ua
-                d_wp = (_pairs(s_a - s_u) - _pairs(s_a)
-                        + _pairs(s_b + s_u) - _pairs(s_b))
-                lik_new = sbm_log_likelihood(EdgeCounts.from_totals(
-                    ai_plus + d_ai, within_pairs + d_wp, m, total_pairs), priors)
-                d_prior = prior.move_delta(s_a, s_b, s_u)
-                delta = (lik_new - cur_lik) + d_prior
-                if best is None or delta > best[0]:
-                    best = (delta, b, lik_new, d_ai, d_wp, d_prior)
-            if best is None or best[0] <= _ACCEPT_EPS:
-                continue
-            _, b, lik_new, d_ai, d_wp, d_prior = best
-            if b == -1:
-                b = next_id
-                next_id += 1
-                csize[b] = 0
-            comm[u] = b
-            csize[a] -= s_u
-            csize[b] += s_u
-            prior.total += d_prior
-            ai_plus += d_ai
-            within_pairs += d_wp
-            cur_lik = lik_new
-            moved += 1
-            improved = True
-            if audit is not None:
-                audit(comm.copy(), cur_lik + prior.total)
-        if moved == 0:
-            break
-    return comm, improved
-
-
-def _frozen_aggregates(graph, orig_to_super, n_super, state):
-    """Per-super-node sums of E[d] and E[d]^2 under the frozen surrogate."""
-    e_d = state.alpha_d * state.theta_d
-    s_u = np.zeros(n_super)
-    q_u = np.zeros(n_super)
-    np.add.at(s_u, orig_to_super, e_d)
-    np.add.at(q_u, orig_to_super, e_d * e_d)
-    return s_u, q_u
-
-
-def _move_phase_gdcbm(graph, sup, orig_to_super, priors, rng):
-    """Local moving under the frozen variational bound, refresh between sweeps.
-
-    Accepting a sweep requires the re-converged objective to have improved;
-    otherwise the sweep's moves are rolled back and the phase ends.
-    """
-    n = sup.n
-    comm = np.arange(n, dtype=np.int64)
-    csize = {u: sup.size[u] for u in range(n)}
-    prior = _PriorTracker(priors.gamma_exp, csize)
-    next_id = n
-    improved = False
-
-    def refresh():
-        assignment = comm[orig_to_super]
-        state, bound = _converge_vb(graph, assignment, priors)
-        s_u, q_u = _frozen_aggregates(graph, orig_to_super, n, state)
-        mean_in, log_in = _lambda_moments(state.lambda_in, priors)
-        mean_out, log_out = _lambda_moments(state.lambda_out, priors)
-        return bound + prior.total, s_u, q_u, log_in - log_out, mean_in - mean_out
-
-    obj_prev, s_sup, q_sup, d_log, d_mean = refresh()
-    c_s = {u: float(s_sup[u]) for u in range(n)}
-    c_q = {u: float(q_sup[u]) for u in range(n)}
-
-    while True:
-        snapshot = (comm.copy(), dict(csize), dict(c_s), dict(c_q),
-                    prior.total, next_id)
-        moved = 0
-        for u in rng.permutation(n):
-            u = int(u)
-            a = int(comm[u])
-            s_u_nodes = sup.size[u]
-            su, qu = float(s_sup[u]), float(q_sup[u])
-            wsum = _neighbor_comm_weights(sup, comm, u)
-            e_ua = wsum.get(a, 0)
-            s_a = csize[a]
-            candidates = sorted(c for c in wsum if c != a)
-            if s_a > s_u_nodes:
-                candidates.append(-1)
-            sa_e, qa_e = c_s[a], c_q[a]
-            same_a_old = (sa_e * sa_e - qa_e) / 2.0
-            same_a_new = ((sa_e - su) ** 2 - (qa_e - qu)) / 2.0
-            best = None
-            for b in candidates:
-                e_ub = wsum.get(b, 0)
-                if b == -1:
-                    s_b, sb_e, qb_e = 0, 0.0, 0.0
-                else:
-                    s_b, sb_e, qb_e = csize[b], c_s[b], c_q[b]
-                d_same = (same_a_new - same_a_old
-                          + ((sb_e + su) ** 2 - (qb_e + qu)) / 2.0
-                          - (sb_e * sb_e - qb_e) / 2.0)
-                d_prior = prior.move_delta(s_a, s_b, s_u_nodes)
-                delta = (e_ub - e_ua) * d_log - d_mean * d_same + d_prior
-                if best is None or delta > best[0]:
-                    best = (delta, b, d_prior)
-            if best is None or best[0] <= _ACCEPT_EPS:
-                continue
-            _, b, d_prior = best
-            if b == -1:
-                b = next_id
-                next_id += 1
-                csize[b] = 0
-                c_s[b] = 0.0
-                c_q[b] = 0.0
-            prior.total += d_prior
-            comm[u] = b
-            csize[a] -= s_u_nodes
-            csize[b] += s_u_nodes
-            c_s[a] -= su
-            c_q[a] -= qu
-            c_s[b] += su
-            c_q[b] += qu
-            moved += 1
-        if moved == 0:
-            break
-        obj_new, s_sup2, q_sup2, d_log2, d_mean2 = refresh()
-        if obj_new <= obj_prev + _ACCEPT_EPS:
-            comm, csize, c_s, c_q, prior.total, next_id = snapshot
-            break
-        obj_prev = obj_new
-        s_sup, q_sup, d_log, d_mean = s_sup2, q_sup2, d_log2, d_mean2
-        c_s = {}
-        c_q = {}
-        for u in range(n):
-            c = int(comm[u])
-            c_s[c] = c_s.get(c, 0.0) + float(s_sup[u])
-            c_q[c] = c_q.get(c, 0.0) + float(q_sup[u])
+    while _sweep(sup, comm, csize, prior, gain, rng, on_move):
         improved = True
     return comm, improved
 
 
-def _scan_merges(sup, delta_fn, apply_fn):
+def _move_phase_gdcbm(graph, sup, orig_to_super, priors, rng):
+    """Local moving under the frozen gDCBM gain, refitting between sweeps.
+
+    Each sweep runs at the surrogate fitted before it. The sweep is kept
+    only if the refitted objective improved; otherwise its moves are rolled
+    back and the phase ends.
+    """
+    comm = np.arange(sup.n, dtype=np.int64)
+    csize = dict(enumerate(sup.size))
+    prior = _PriorTracker(priors.gamma_exp, sup.size)
+    gain = _FrozenDcbmGain(graph, orig_to_super, comm, priors)
+    obj_prev = gain.bound + prior.total
+    improved = False
+    while True:
+        snapshot = comm.copy()
+        if not _sweep(sup, comm, csize, prior, gain, rng):
+            break
+        gain = _FrozenDcbmGain(graph, orig_to_super, comm, priors)
+        obj_new = gain.bound + prior.total
+        if obj_new <= obj_prev + _ACCEPT_EPS:
+            return snapshot, improved
+        obj_prev = obj_new
+        improved = True
+    return comm, improved
+
+
+def _scan_merges(sup, gain, prior):
     """Greedy agglomerative pass over connected communities.
 
     Starting from one community per super-node, repeatedly applies the
@@ -334,10 +350,9 @@ def _scan_merges(sup, delta_fn, apply_fn):
     creating a two-node community, so a stalled moving phase can sit far
     below a coarser partition; the merge path walks through it if one exists.
 
-    delta_fn(a, b, e_ab, size) ranks merging connected communities a and b
-    (e_ab joining edges, original-node sizes in size[]), prior change
-    included. apply_fn(a, b, e_ab, size) advances objective-specific state
-    when a merge is applied. Returns [(keep, absorb), ...] for the best
+    A merge's delta is gain.merge(...) plus the change of prior.term over
+    the original-node sizes; gain.apply_merge advances the gain's state when
+    a merge is applied. Returns [(keep, absorb), ...] for the best
     strictly-improving prefix, or None.
     """
     n = sup.n
@@ -353,13 +368,15 @@ def _scan_merges(sup, delta_fn, apply_fn):
             for b, e_ab in weights[a].items():
                 if b <= a:
                     continue
-                d = delta_fn(a, b, e_ab, size)
+                d = (gain.merge(a, b, e_ab, size[a], size[b])
+                     + prior.term(size[a] + size[b])
+                     - prior.term(size[a]) - prior.term(size[b]))
                 if best is None or d > best[0]:
                     best = (d, a, b)
         if best is None:
             break
         d, a, b = best
-        apply_fn(a, b, weights[a][b], size)
+        gain.apply_merge(a, b, weights[a][b], size[a], size[b])
         cum += d
         ops.append((a, b))
         del weights[a][b]
@@ -393,57 +410,24 @@ def _resolve_merges(n, ops):
 def _merge_bootstrap(graph, sup, orig_to_super, objective, priors):
     """Escape a stalled moving phase by adopting a better merged partition.
 
-    Merge deltas are exact SBM posterior changes for gsbm, and frozen
-    variational-surrogate changes for gdcbm. When the gdcbm bound is
-    degenerate because the partition has no within-community edges at all
-    (the clamped rate shape poisons every surrogate delta), merges are ranked
-    by a plain-SBM density contrast instead; the rate/degree gauge makes the
-    empty bucket incomparable with the fitted one, while the SBM contrast is
-    scale-free. Either way adoption happens only when the true objective of
-    the merged partition beats the current one.
+    Merges are priced by the objective's gain: exact SBM posterior changes
+    for gsbm, and frozen variational-surrogate changes for gdcbm. When the
+    gdcbm bound is degenerate because the partition has no within-community
+    edges at all (the clamped rate shape poisons every surrogate delta),
+    merges are ranked by a plain-SBM density contrast instead (the SBM gain
+    at default Beta priors); the rate/degree gauge makes the empty bucket
+    incomparable with the fitted one, while the SBM contrast is scale-free.
+    Either way adoption happens only when the true objective of the merged
+    partition beats the current one.
     """
-    prior = _PriorTracker(priors.gamma_exp, dict(enumerate(sup.size)))
-    sbm_priors = priors if objective == "gsbm" else None
-    if objective == "gdcbm":
-        vb_state, _ = _converge_vb(graph, orig_to_super, priors)
-        if vb_state.lambda_in.shape <= SHAPE_FLOOR:
-            sbm_priors = SbmPriors(gamma_exp=priors.gamma_exp)
-    if sbm_priors is not None:
-        m = graph.edge_count
-        total_pairs = _pairs(graph.node_count)
-        state = {"ai": sum(sup.internal),
-                 "wp": sum(_pairs(s) for s in sup.size)}
-        state["lik"] = sbm_log_likelihood(EdgeCounts.from_totals(
-            state["ai"], state["wp"], m, total_pairs), sbm_priors)
-
-        def delta_fn(a, b, e_ab, size):
-            lik_new = sbm_log_likelihood(EdgeCounts.from_totals(
-                state["ai"] + e_ab, state["wp"] + size[a] * size[b], m, total_pairs),
-                sbm_priors)
-            return (lik_new - state["lik"] + prior.term(size[a] + size[b])
-                    - prior.term(size[a]) - prior.term(size[b]))
-
-        def apply_fn(a, b, e_ab, size):
-            state["ai"] += e_ab
-            state["wp"] += size[a] * size[b]
-            state["lik"] = sbm_log_likelihood(EdgeCounts.from_totals(
-                state["ai"], state["wp"], m, total_pairs), sbm_priors)
+    m, total_pairs = graph.edge_count, _pairs(graph.node_count)
+    if objective == "gsbm":
+        gain = _SbmGain(sup, m, total_pairs, priors)
     else:
-        s_u, _ = _frozen_aggregates(graph, orig_to_super, sup.n, vb_state)
-        mean_in, log_in = _lambda_moments(vb_state.lambda_in, priors)
-        mean_out, log_out = _lambda_moments(vb_state.lambda_out, priors)
-        d_log, d_mean = log_in - log_out, mean_in - mean_out
-        sums = [float(x) for x in s_u]
-
-        def delta_fn(a, b, e_ab, size):
-            return (e_ab * d_log - d_mean * sums[a] * sums[b]
-                    + prior.term(size[a] + size[b])
-                    - prior.term(size[a]) - prior.term(size[b]))
-
-        def apply_fn(a, b, e_ab, size):
-            sums[a] += sums[b]
-
-    ops = _scan_merges(sup, delta_fn, apply_fn)
+        gain = _FrozenDcbmGain(graph, orig_to_super, np.arange(sup.n), priors)
+        if gain.floored:
+            gain = _SbmGain(sup, m, total_pairs, SbmPriors(gamma_exp=priors.gamma_exp))
+    ops = _scan_merges(sup, gain, _PriorTracker(priors.gamma_exp, sup.size))
     if ops is None:
         return None
     comm = _resolve_merges(sup.n, ops)
@@ -457,12 +441,14 @@ def _merge_bootstrap(graph, sup, orig_to_super, objective, priors):
 def louvain(graph, objective, priors, rng, max_levels=10):
     """Two-phase Louvain ascent of the chosen objective.
 
-    Returns the flattened Partition over original nodes. When a level's
-    moving phase finds no improving single move, a greedy merge scan looks
-    for a coarser partition with a strictly better objective before giving
-    up (single moves cannot cross the prior's fixed merge cost on small
-    dense graphs). Stops when neither phase improves, the graph collapses
-    to one community, or max_levels is reached.
+    Returns the flattened Partition over original nodes. Each level runs the
+    shared moving sweep with the objective's gain (gSBM: exact, until no node
+    moves; gDCBM: frozen surrogate, refitted between sweeps). When a level's
+    moving phase finds no improving single move, a greedy merge scan priced
+    by the same gain looks for a coarser partition with a strictly better
+    objective before giving up (single moves cannot cross the prior's fixed
+    merge cost on small dense graphs). Stops when neither phase improves,
+    the graph collapses to one community, or max_levels is reached.
     """
     if objective not in ("gsbm", "gdcbm"):
         raise ValueError(f"unknown objective {objective!r}; expected 'gsbm' or 'gdcbm'")

@@ -15,6 +15,7 @@ from blockcomm.evaluation import (
     paired_t,
     precision_recall_excluding_seed,
     run_protocol,
+    stats_conductance,
     summarize,
 )
 from blockcomm.graph import community_stats
@@ -89,6 +90,8 @@ class TestConductance:
         iso = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(ValueError, match="zero-volume"):
             conductance(iso, {2})
+        # detect and eval report a zero-volume set's conductance as 1.0
+        assert stats_conductance(community_stats(iso, {2})) == 1.0
 
     def test_cut_volume_identity(self):
         # conductance + 2w/v = 1, checked in exact rational arithmetic
@@ -104,6 +107,7 @@ class TestConductance:
                 continue
             assert Fraction(v - 2 * w, v) + Fraction(2 * w, v) == 1
             assert conductance(g, members) == (v - 2 * w) / v
+            assert stats_conductance(community_stats(g, members)) == (v - 2 * w) / v
 
 
 class TestPairedT:

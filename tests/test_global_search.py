@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from blockcomm.dcbm import DcbmPriors
+from blockcomm.dcbm import DcbmPriors, _pair_sums
 from blockcomm.global_search import (
     Partition,
+    _aggregate,
+    _converge_vb,
+    _FrozenDcbmGain,
     _move_phase_gsbm,
+    _SbmGain,
     _SuperGraph,
     louvain,
     objective_value,
@@ -145,6 +149,87 @@ class TestObjectiveValue:
             est = mx + np.log(w.mean())
             stderr = w.std() / (w.mean() * math.sqrt(n_samp))
             assert bound <= est + 3.0 * stderr
+
+
+class TestGains:
+    # Each model's gain prices a single-node move and a community merge for
+    # both the moving sweep and the merge scan. Walk random moves and merges
+    # over random super-nodes of one random graph and compare every priced
+    # change with the from-scratch change of the objective it stands for.
+
+    def setup_method(self):
+        self.rng = make_rng(606)
+        self.graph = graph_from_edges(random_gnp(self.rng, 40, 0.12))
+        self.sup, self.orig_to_super = _aggregate(
+            _SuperGraph.from_graph(self.graph),
+            self.rng.integers(0, 16, self.graph.node_count))
+
+    def labels(self, comm):
+        return comm[self.orig_to_super]
+
+    def walk(self, gain, value, steps=40):
+        sup, rng = self.sup, self.rng
+        comm = np.arange(sup.n, dtype=np.int64)
+
+        def size(c):
+            return sum(s for s, k in zip(sup.size, comm) if k == c)
+
+        def edges(members, c):
+            return sum(w for u in members for v, w in sup.weights[u].items()
+                       if comm[v] == c)
+
+        checked = 0
+        for step in range(steps):
+            new = comm.copy()
+            if step % 2 == 0:
+                u = int(rng.integers(sup.n))
+                a, b = int(comm[u]), int(rng.integers(sup.n + 1))
+                if b == a:
+                    continue
+                args = (u, a, b, edges([u], b) - edges([u], a),
+                        sup.size[u], size(a), size(b))
+                new[u] = b
+                priced = gain.move(*args)
+                gain.apply_move(*args)
+            else:
+                live = sorted(set(comm.tolist()))
+                a, b = (int(c) for c in rng.choice(live, 2, replace=False))
+                members_a = [u for u in range(sup.n) if comm[u] == a]
+                args = (a, b, edges(members_a, b), size(a), size(b))
+                new[new == b] = a
+                priced = gain.merge(*args)
+                gain.apply_merge(*args)
+            assert priced == pytest.approx(value(new) - value(comm), abs=1e-9)
+            comm = new
+            checked += 1
+        assert checked >= steps // 2
+
+    def test_sbm_gain_matches_exact_likelihood(self):
+        g, priors = self.graph, SbmPriors()
+
+        def likelihood(comm):
+            labels = self.labels(comm)
+            sizes = [int(s) for s in np.bincount(labels) if s > 0]
+            return (objective_value(g, labels, "gsbm", priors)
+                    - log_partition_prior(sizes, priors.gamma_exp))
+
+        gain = _SbmGain(self.sup, g.edge_count, g.node_count * (g.node_count - 1) // 2,
+                        priors)
+        self.walk(gain, likelihood)
+
+    def test_frozen_dcbm_gain_matches_frozen_surrogate(self):
+        g, priors = self.graph, DcbmPriors()
+        start = np.arange(self.sup.n, dtype=np.int64)
+        gain = _FrozenDcbmGain(g, self.orig_to_super, start, priors)
+        state, _ = _converge_vb(g, self.labels(start), priors)
+        e_d = state.alpha_d * state.theta_d
+
+        def surrogate(comm):
+            labels = self.labels(comm)
+            same_pairs, _ = _pair_sums(labels, e_d)
+            return g.within_edges(labels) * gain.d_log - gain.d_mean * same_pairs
+
+        self.walk(gain, surrogate)
 
 
 class TestLouvain:
