@@ -30,6 +30,14 @@ class DomainError(Exception):
     """User-facing domain problem: wrong id, invalid spec (exit 2)."""
 
 
+def _from_flags(build, *args, **kwargs):
+    """build(*args, **kwargs), reporting a ValueError as a DomainError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
+
+
 @dataclass
 class RunManifest:
     """Reproducibility record written alongside every command's output."""
@@ -76,20 +84,20 @@ def _load_graph(path):
 
 
 def _sbm_priors(args):
-    return SbmPriors(alpha_plus=args.alpha_plus, alpha_minus=args.alpha_minus,
-                     gamma_exp=args.gamma)
+    return _from_flags(SbmPriors, alpha_plus=args.alpha_plus,
+                       alpha_minus=args.alpha_minus, gamma_exp=args.gamma)
 
 
 def _dcbm_priors(args):
-    return DcbmPriors(alpha=args.alpha, theta=args.theta, gamma_exp=args.gamma)
+    return _from_flags(DcbmPriors, alpha=args.alpha, theta=args.theta, gamma_exp=args.gamma)
 
 
 def _search_config(args):
     method = args.method
     priors = _sbm_priors(args) if method == "asbm" else _dcbm_priors(args)
-    return SearchConfig(method=method, restarts=args.restarts,
-                        rng_seed=args.rng_seed, formal_N=args.formal_n,
-                        priors=priors)
+    return _from_flags(SearchConfig, method=method, restarts=args.restarts,
+                       rng_seed=args.rng_seed, formal_N=args.formal_n,
+                       priors=priors)
 
 
 def cmd_detect(args):
@@ -134,19 +142,13 @@ def cmd_global(args):
 
 def cmd_generate(args):
     started = time.perf_counter()
-    try:
-        spec = PlantedSpec(communities=args.communities, size=args.size,
-                           lambda_in=args.lambda_in, lambda_out=args.lambda_out,
-                           model=args.model, dcbm_alpha=args.alpha,
-                           dcbm_theta=args.theta)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    spec = _from_flags(PlantedSpec, communities=args.communities, size=args.size,
+                       lambda_in=args.lambda_in, lambda_out=args.lambda_out,
+                       model=args.model, dcbm_alpha=args.alpha,
+                       dcbm_theta=args.theta)
     rng = make_rng(args.rng_seed)
     sampler = sample_sbm if args.model == "sbm" else sample_dcbm
-    try:
-        graph, truth = sampler(spec, rng)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    graph, truth = _from_flags(sampler, spec, rng)
     edges_path = f"{args.out}.edges"
     cmty_path = f"{args.out}.cmty"
     with open(edges_path, "w") as fh:
@@ -249,15 +251,16 @@ def cmd_nsweep(args):
         raise DomainError(f"could not parse --n-values {args.n_values!r}") from None
     if not n_values:
         raise DomainError("--n-values is empty")
-    print("formal_n\tmean_f1\tmean_size")
-    for formal_n in n_values:
-        cfg = SearchConfig(method="adcbm", restarts=args.restarts,
+    configs = [_from_flags(SearchConfig, method="adcbm", restarts=args.restarts,
                            rng_seed=args.rng_seed, formal_N=formal_n,
                            priors=_dcbm_priors(args))
+               for formal_n in n_values]
+    print("formal_n\tmean_f1\tmean_size")
+    for cfg in configs:
         # identical sampling stream per N so rows differ only in the score's totals
         rng = make_rng(args.rng_seed)
         _, summary = run_protocol(graph, truths, cfg, args.samples, rng)
-        print(f"{formal_n}\t{summary['mean_f1']:.6f}\t{summary['mean_found_size']:.6f}")
+        print(f"{cfg.formal_N}\t{summary['mean_f1']:.6f}\t{summary['mean_found_size']:.6f}")
     _write_manifest(args.manifest, "nsweep", args, args.graph, started,
                     columns=("formal_n", "mean_f1", "mean_size"))
     return 0

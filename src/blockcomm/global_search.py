@@ -1,20 +1,23 @@
 """Global community detection: Louvain-style ascent of the exact SBM
 posterior (gSBM) or the degree-corrected variational bound (gDCBM).
 
-Two phases alternate: local moving and aggregation into a community graph.
+Two phases alternate: local moving and aggregation into a community graph
+(a scipy CSR matrix of edge counts; each aggregation is one sparse product).
 Both objectives share one moving sweep (each node greedily joins the
 neighboring community, or a fresh singleton, with the best objective gain)
-and one greedy merge scan; they differ only in a small per-model gain that
-prices a move or a merge. The gSBM gain is exact, from the within-edge and
-within-pair totals. The gDCBM gain holds the variational surrogate fixed;
-it is refitted between sweeps, and a sweep whose refitted objective went
-down is rolled back.
+and one greedy merge scan, whose merges resolve as connected components;
+they differ only in a small per-model gain that prices a move or a merge.
+The gSBM gain is exact, from the within-edge and within-pair totals. The
+gDCBM gain holds the variational surrogate fixed; it is refitted between
+sweeps, and a sweep whose refitted objective went down is rolled back.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .dcbm import SHAPE_FLOOR, initial_variational_state, vb_bound, vb_update
 from .distributions import GammaParams
@@ -92,21 +95,22 @@ def objective_value(graph, partition, objective, priors):
 
 
 class _SuperGraph:
-    """Aggregated working graph: nodes are groups of original nodes."""
+    """Aggregated working graph of super-nodes (groups of original nodes)."""
 
-    __slots__ = ("n", "size", "internal", "weights")
+    __slots__ = ("n", "adj", "size", "internal")
 
-    def __init__(self, n, size, internal, weights):
-        self.n = n
+    def __init__(self, adj, size, internal):
+        self.n = adj.shape[0]
+        self.adj = adj            # symmetric CSR, edges between super-nodes, empty diagonal
         self.size = size          # original nodes per super-node
         self.internal = internal  # original edges inside each super-node
-        self.weights = weights    # list of {neighbor super-node: edge weight}
 
     @staticmethod
     def from_graph(graph):
-        weights = [{int(j): 1 for j in graph.neighbors(i)} for i in range(graph.node_count)]
-        return _SuperGraph(graph.node_count, [1] * graph.node_count,
-                           [0] * graph.node_count, weights)
+        n = graph.node_count
+        adj = sparse.csr_array((np.ones(len(graph.indices), dtype=np.int64),
+                                graph.indices, graph.indptr), shape=(n, n))
+        return _SuperGraph(adj, [1] * n, [0] * n)
 
 
 def _pairs(s):
@@ -114,24 +118,23 @@ def _pairs(s):
 
 
 def _aggregate(sup, comm):
-    """Collapse communities into super-nodes; returns (new graph, dense map)."""
+    """Collapse communities into super-nodes; returns (new graph, dense map).
+
+    With M the one-hot membership matrix, the new adjacency is M^T A M off
+    its diagonal; the diagonal counts twice the edges that join two
+    super-nodes of one community.
+    """
     ids, dense = np.unique(comm, return_inverse=True)
-    k = len(ids)
-    size = [0] * k
-    internal = [0] * k
-    weights = [dict() for _ in range(k)]
-    for u in range(sup.n):
-        c = dense[u]
-        size[c] += sup.size[u]
-        internal[c] += sup.internal[u]
-        for vtx, wt in sup.weights[u].items():
-            cv = dense[vtx]
-            if cv == c:
-                if u < vtx:
-                    internal[c] += wt
-            else:
-                weights[c][cv] = weights[c].get(cv, 0) + wt
-    return _SuperGraph(k, size, internal, weights), dense
+    member = sparse.csr_array((np.ones(sup.n, dtype=np.int64), (np.arange(sup.n), dense)),
+                              shape=(sup.n, len(ids)))
+    adj = (member.T @ sup.adj @ member).tocsr()
+    joined = adj.diagonal() // 2
+    adj.setdiag(0)
+    adj.eliminate_zeros()
+    adj.sort_indices()
+    size = member.T @ np.asarray(sup.size, dtype=np.int64)
+    internal = member.T @ np.asarray(sup.internal, dtype=np.int64) + joined
+    return _SuperGraph(adj, size.tolist(), internal.tolist()), dense
 
 
 class _PriorTracker:
@@ -211,15 +214,11 @@ class _FrozenDcbmGain:
         mean_out, log_out = _lambda_moments(state.lambda_out, priors)
         self.d_log, self.d_mean = log_in - log_out, mean_in - mean_out
         e_d = state.alpha_d * state.theta_d
-        s_u = np.zeros(len(comm))
-        q_u = np.zeros(len(comm))
-        np.add.at(s_u, orig_to_super, e_d)
-        np.add.at(q_u, orig_to_super, e_d * e_d)
+        s_u = np.bincount(orig_to_super, weights=e_d, minlength=len(comm))
+        q_u = np.bincount(orig_to_super, weights=e_d * e_d, minlength=len(comm))
         self.s_u, self.q_u = s_u.tolist(), q_u.tolist()
-        self.c_s, self.c_q = {}, {}
-        for u, c in enumerate(comm.tolist()):
-            self.c_s[c] = self.c_s.get(c, 0.0) + self.s_u[u]
-            self.c_q[c] = self.c_q.get(c, 0.0) + self.q_u[u]
+        self.c_s = dict(enumerate(np.bincount(comm, weights=s_u).tolist()))
+        self.c_q = dict(enumerate(np.bincount(comm, weights=q_u).tolist()))
 
     def move(self, u, a, b, d_e, s_u, s_a, s_b):
         """Change when super-node u leaves community a for b (-1: a new one)."""
@@ -246,9 +245,9 @@ class _FrozenDcbmGain:
 
 
 def _neighbor_comm_weights(sup, comm, u):
+    lo, hi = sup.adj.indptr[u], sup.adj.indptr[u + 1]
     wsum = {}
-    for vtx, wt in sup.weights[u].items():
-        c = int(comm[vtx])
+    for c, wt in zip(comm[sup.adj.indices[lo:hi]].tolist(), sup.adj.data[lo:hi].tolist()):
         wsum[c] = wsum.get(c, 0) + wt
     return wsum
 
@@ -299,20 +298,22 @@ def _sweep(sup, comm, csize, prior, gain, rng, on_move=None):
 def _move_phase_gsbm(sup, m, total_pairs, priors, rng, audit=None):
     """Local moving under the exact SBM gain, sweeping until nothing moves.
 
-    Returns (community array over super-nodes, improved flag). audit, if
-    given, is called after every accepted move with (comm copy, objective)
-    so tests can compare against from-scratch evaluation.
+    Returns (community array over super-nodes, improved flag, objective of
+    the starting partition). audit, if given, is called after every accepted
+    move with (comm copy, objective) so tests can compare against
+    from-scratch evaluation.
     """
     comm = np.arange(sup.n, dtype=np.int64)
     csize = dict(enumerate(sup.size))
     prior = _PriorTracker(priors.gamma_exp, sup.size)
     gain = _SbmGain(sup, m, total_pairs, priors)
+    start = gain.lik + prior.total
     on_move = None if audit is None else (
         lambda: audit(comm.copy(), gain.lik + prior.total))
     improved = False
     while _sweep(sup, comm, csize, prior, gain, rng, on_move):
         improved = True
-    return comm, improved
+    return comm, improved, start
 
 
 def _move_phase_gdcbm(graph, sup, orig_to_super, priors, rng):
@@ -320,13 +321,14 @@ def _move_phase_gdcbm(graph, sup, orig_to_super, priors, rng):
 
     Each sweep runs at the surrogate fitted before it. The sweep is kept
     only if the refitted objective improved; otherwise its moves are rolled
-    back and the phase ends.
+    back and the phase ends. Returns (community array over super-nodes,
+    improved flag, objective of the starting partition).
     """
     comm = np.arange(sup.n, dtype=np.int64)
     csize = dict(enumerate(sup.size))
     prior = _PriorTracker(priors.gamma_exp, sup.size)
     gain = _FrozenDcbmGain(graph, orig_to_super, comm, priors)
-    obj_prev = gain.bound + prior.total
+    start = obj_prev = gain.bound + prior.total
     improved = False
     while True:
         snapshot = comm.copy()
@@ -335,10 +337,10 @@ def _move_phase_gdcbm(graph, sup, orig_to_super, priors, rng):
         gain = _FrozenDcbmGain(graph, orig_to_super, comm, priors)
         obj_new = gain.bound + prior.total
         if obj_new <= obj_prev + _ACCEPT_EPS:
-            return snapshot, improved
+            return snapshot, improved, start
         obj_prev = obj_new
         improved = True
-    return comm, improved
+    return comm, improved, start
 
 
 def _scan_merges(sup, gain, prior):
@@ -356,15 +358,15 @@ def _scan_merges(sup, gain, prior):
     strictly-improving prefix, or None.
     """
     n = sup.n
-    weights = [dict(w) for w in sup.weights]
+    own = np.arange(n)  # every super-node its own community
+    weights = [_neighbor_comm_weights(sup, own, u) for u in range(n)]
     size = list(sup.size)
-    active = set(range(n))
     ops = []
     cum = 0.0
     best_cum, best_len = 0.0, 0
     while True:
         best = None
-        for a in active:
+        for a in range(n):  # an absorbed community's weights are empty
             for b, e_ab in weights[a].items():
                 if b <= a:
                     continue
@@ -387,27 +389,19 @@ def _scan_merges(sup, gain, prior):
             del weights[nbr][b]
         weights[b] = {}
         size[a] += size[b]
-        active.discard(b)
         if cum > best_cum:
             best_cum, best_len = cum, len(ops)
     return ops[:best_len] if best_cum > _ACCEPT_EPS else None
 
 
 def _resolve_merges(n, ops):
-    """Community array over super-nodes after applying merge ops."""
-    parent = list(range(n))
-    for keep, absorb in ops:
-        parent[absorb] = keep
-    comm = np.empty(n, dtype=np.int64)
-    for u in range(n):
-        r = u
-        while parent[r] != r:
-            r = parent[r]
-        comm[u] = r
-    return comm
+    """Community array over super-nodes after merge ops, ordered by lowest member."""
+    keep, absorb = zip(*ops)
+    merged = sparse.coo_array((np.ones(len(ops)), (keep, absorb)), shape=(n, n))
+    return connected_components(merged, directed=False)[1]
 
 
-def _merge_bootstrap(graph, sup, orig_to_super, objective, priors):
+def _merge_bootstrap(graph, sup, orig_to_super, objective, priors, cur):
     """Escape a stalled moving phase by adopting a better merged partition.
 
     Merges are priced by the objective's gain: exact SBM posterior changes
@@ -418,7 +412,7 @@ def _merge_bootstrap(graph, sup, orig_to_super, objective, priors):
     at default Beta priors); the rate/degree gauge makes the empty bucket
     incomparable with the fitted one, while the SBM contrast is scale-free.
     Either way adoption happens only when the true objective of the merged
-    partition beats the current one.
+    partition beats cur, the objective of the current one.
     """
     m, total_pairs = graph.edge_count, _pairs(graph.node_count)
     if objective == "gsbm":
@@ -431,7 +425,6 @@ def _merge_bootstrap(graph, sup, orig_to_super, objective, priors):
     if ops is None:
         return None
     comm = _resolve_merges(sup.n, ops)
-    cur = objective_value(graph, orig_to_super, objective, priors)
     cand = objective_value(graph, comm[orig_to_super], objective, priors)
     if cand > cur + _ACCEPT_EPS:
         return comm
@@ -458,11 +451,11 @@ def louvain(graph, objective, priors, rng, max_levels=10):
     total_pairs = _pairs(graph.node_count)
     for _ in range(max_levels):
         if objective == "gsbm":
-            comm, improved = _move_phase_gsbm(sup, m, total_pairs, priors, rng)
+            comm, improved, start = _move_phase_gsbm(sup, m, total_pairs, priors, rng)
         else:
-            comm, improved = _move_phase_gdcbm(graph, sup, orig_to_super, priors, rng)
+            comm, improved, start = _move_phase_gdcbm(graph, sup, orig_to_super, priors, rng)
         if not improved:
-            merged = _merge_bootstrap(graph, sup, orig_to_super, objective, priors)
+            merged = _merge_bootstrap(graph, sup, orig_to_super, objective, priors, start)
             if merged is None:
                 break
             comm = merged

@@ -202,7 +202,7 @@ def load_communities(stream, graph, min_size=3):
     min_size are filtered out.
 
     Raises:
-        ValueError: if a community references an id absent from the graph.
+        ValueError: naming the line of a non-integer or unknown node id.
     """
     out = []
     for lineno, raw in enumerate(stream, start=1):
@@ -211,7 +211,10 @@ def load_communities(stream, graph, min_size=3):
             continue
         members = set()
         for tok in line.split():
-            ext = int(tok)
+            try:
+                ext = int(tok)
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-integer node id {tok!r}") from None
             if ext not in graph.node_labels:
                 raise ValueError(f"line {lineno}: node id {ext} not present in the graph")
             members.add(graph.node_labels[ext])

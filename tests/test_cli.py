@@ -340,3 +340,31 @@ class TestNsweep:
                        "--n-values", "ten"])
         assert rc == 2
         assert "n-values" in capsys.readouterr().err
+
+
+class TestInvalidFlagValues:
+    # A flag value outside its domain is a usage error (exit 2) reported
+    # before any output, whichever command reads it; a malformed input
+    # file stays exit 1 (see TestDetect and TestGlobal).
+    GRAPH = ["--graph", "g.edges"]
+    CASES = {
+        "restarts": ["detect", *GRAPH, "--seed", "0", "--method", "adcbm",
+                     "--restarts", "0"],
+        "formal-n": ["eval", *GRAPH, "--communities", "g.cmty", "--method", "asbm",
+                     "--formal-n", "0", "--out", "rows.tsv"],
+        "gamma": ["global", *GRAPH, "--method", "gsbm", "--gamma", "1",
+                  "--out", "parts.txt"],
+        "alpha": ["detect", *GRAPH, "--seed", "0", "--method", "adcbm",
+                  "--alpha", "0"],
+        "n-values": ["nsweep", *GRAPH, "--communities", "g.cmty",
+                     "--n-values", "12,0", "--samples", "1"],
+    }
+
+    @pytest.mark.parametrize("flag", CASES)
+    def test_exits_2_with_error_line(self, in_tmp, capsys, flag):
+        write_cliques_fixture(in_tmp)
+        rc = cli.main(self.CASES[flag])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""

@@ -12,6 +12,7 @@ from blockcomm.global_search import (
     _converge_vb,
     _FrozenDcbmGain,
     _move_phase_gsbm,
+    _resolve_merges,
     _SbmGain,
     _SuperGraph,
     louvain,
@@ -151,6 +152,69 @@ class TestObjectiveValue:
             assert bound <= est + 3.0 * stderr
 
 
+class TestAggregate:
+    # Two levels of aggregation over random partitions, each checked
+    # against counts taken from scratch on the original graph.
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_two_levels_match_counts_from_scratch(self, seed):
+        rng = make_rng(seed)
+        g = graph_from_edges(random_gnp(rng, 40, 0.15))
+        sup = _SuperGraph.from_graph(g)
+        labels = np.arange(g.node_count)
+        for groups in (15, 6):
+            sup, dense = _aggregate(sup, rng.integers(0, groups, sup.n))
+            labels = dense[labels]
+            k = sup.n
+            between = np.zeros((k, k), dtype=np.int64)
+            inside = [0] * k
+            for i in range(g.node_count):
+                for j in g.neighbors(i):
+                    a, b = labels[i], labels[j]
+                    if a != b:
+                        between[a, b] += 1
+                    elif i < j:
+                        inside[a] += 1
+            assert sup.size == np.bincount(labels, minlength=k).tolist()
+            assert sup.internal == inside
+            assert all(type(x) is int for x in sup.size + sup.internal)
+            assert np.array_equal(sup.adj.toarray(), between)
+            assert (sup.adj != sup.adj.T).nnz == 0
+            assert not sup.adj.diagonal().any()
+            assert sup.adj.data.all()  # no stored zeros
+
+
+def union_find_merges(n, ops):
+    """Reference resolution of merge ops: each absorbed node points at its keeper."""
+    parent = list(range(n))
+    for keep, absorb in ops:
+        parent[absorb] = keep
+    comm = np.empty(n, dtype=np.int64)
+    for u in range(n):
+        r = u
+        while parent[r] != r:
+            r = parent[r]
+        comm[u] = r
+    return comm
+
+
+class TestResolveMerges:
+    def test_matches_union_find(self):
+        # Ops as the merge scan emits them: keep < absorb, both still live.
+        rng = make_rng(808)
+        for _ in range(200):
+            n = int(rng.integers(2, 30))
+            live, ops = list(range(n)), []
+            for _ in range(int(rng.integers(1, n))):
+                keep, absorb = sorted(rng.choice(live, 2, replace=False).tolist())
+                ops.append((keep, absorb))
+                live.remove(absorb)
+            roots = union_find_merges(n, ops)
+            # the roots are the components' lowest nodes, so ranks must match
+            want = np.unique(roots, return_inverse=True)[1]
+            assert _resolve_merges(n, ops).tolist() == want.tolist()
+
+
 class TestGains:
     # Each model's gain prices a single-node move and a community merge for
     # both the moving sweep and the merge scan. Walk random moves and merges
@@ -175,8 +239,7 @@ class TestGains:
             return sum(s for s, k in zip(sup.size, comm) if k == c)
 
         def edges(members, c):
-            return sum(w for u in members for v, w in sup.weights[u].items()
-                       if comm[v] == c)
+            return int(sup.adj[members][:, comm == c].sum())
 
         checked = 0
         for step in range(steps):

@@ -133,6 +133,11 @@ class TestLoadCommunities:
         with pytest.raises(ValueError, match="99"):
             load_communities(io.StringIO("1 2 99"), g)
 
+    def test_non_integer_id_names_its_line(self):
+        g = self.make_graph()
+        with pytest.raises(ValueError, match=r"^line 3: non-integer node id 'x4'$"):
+            load_communities(io.StringIO("1 2 3\n# note\n4 x4 5"), g)
+
 
 class TestCommunityStats:
     def test_four_clique(self):
