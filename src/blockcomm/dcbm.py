@@ -36,6 +36,8 @@ class DcbmPriors:
             raise ValueError("Gamma prior parameters must be positive")
         if not self.gamma_exp > 1.0:
             raise ValueError(f"gamma_exp must exceed 1, got {self.gamma_exp}")
+        if not all(map(math.isfinite, (self.alpha, self.theta, self.gamma_exp))):
+            raise ValueError("DCBM prior parameters must be finite")
 
 
 @dataclass

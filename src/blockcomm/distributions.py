@@ -5,9 +5,9 @@ scipy.special.psi that reject arguments outside the positive reals; the
 Gamma KL is written once, elementwise, so the global bound can apply it to
 every node's degree factor in one array expression.
 
-Everything is evaluated in natural-log space; the counts fed into log_beta
-reach 1e8 and beyond, so linear-space Beta/Gamma values would overflow long
-before the scores become interesting.
+Everything is evaluated in natural-log space; the counts fed into Beta
+functions reach 1e8 and beyond, so linear-space Beta/Gamma values would
+overflow long before the scores become interesting.
 """
 
 import math

@@ -22,8 +22,8 @@ from scipy.sparse.csgraph import connected_components
 from .dcbm import SHAPE_FLOOR, initial_variational_state, vb_bound, vb_update
 from .distributions import GammaParams
 from .graph import dense_labels
-from .sbm import (EdgeCounts, SbmPriors, exact_edge_counts, log_partition_prior,
-                  sbm_log_likelihood)
+from .sbm import (SbmPriors, exact_edge_counts, log_partition_prior, sbm_log_likelihood,
+                  sbm_log_marginal)
 
 _ACCEPT_EPS = 1e-9
 
@@ -138,20 +138,24 @@ def _aggregate(sup, comm):
 
 
 class _PriorTracker:
-    """Incremental power-law partition prior over community sizes."""
+    """Incremental power-law partition prior over community sizes.
+
+    term(s), log(gamma-1) - gamma log(s) and 0 for an empty community, is
+    read from a table over every size up to the number of original nodes.
+    """
 
     def __init__(self, gamma_exp, sizes):
-        self.g = gamma_exp
-        self.lg = math.log(gamma_exp - 1.0)
-        self.total = sum(self.term(s) for s in sizes)
+        lg = math.log(gamma_exp - 1.0)
+        self.table = [0.0] + [lg - gamma_exp * math.log(s) for s in range(1, sum(sizes) + 1)]
+        self.total = sum(self.table[s] for s in sizes)
 
     def term(self, s):
-        return self.lg - self.g * math.log(s) if s > 0 else 0.0
+        return self.table[s]
 
     def move_delta(self, s_a, s_b, s_u):
         """Prior change when s_u original nodes leave A (size s_a) for B (size s_b)."""
-        return (self.term(s_a - s_u) - self.term(s_a)
-                + self.term(s_b + s_u) - self.term(s_b))
+        t = self.table
+        return t[s_a - s_u] - t[s_a] + t[s_b + s_u] - t[s_b]
 
 
 class _SbmGain:
@@ -163,14 +167,16 @@ class _SbmGain:
     """
 
     def __init__(self, sup, m, total_pairs, priors):
-        self.m, self.total_pairs, self.priors = m, total_pairs, priors
+        self.m, self.total_pairs = m, total_pairs
+        self.ap, self.am = priors.alpha_plus, priors.alpha_minus
         self.ai = sum(sup.internal)
         self.wp = sum(_pairs(s) for s in sup.size)
         self.lik = self._lik(0, 0)
 
     def _lik(self, d_ai, d_wp):
-        return sbm_log_likelihood(EdgeCounts.from_totals(
-            self.ai + d_ai, self.wp + d_wp, self.m, self.total_pairs), self.priors)
+        ai, wp = self.ai + d_ai, self.wp + d_wp
+        ab = self.m - ai
+        return sbm_log_marginal(ai, wp - ai, ab, self.total_pairs - wp - ab, self.ap, self.am)
 
     def _apply(self, d_ai, d_wp):
         self.ai += d_ai
@@ -278,7 +284,7 @@ def _sweep(sup, comm, csize, prior, gain, rng, on_move=None):
             delta = gain.move(u, a, b, d_e, s_u, s_a, s_b) + d_prior
             if best is None or delta > best[0]:
                 best = (delta, b, d_e, s_b, d_prior)
-        if best is None or best[0] <= _ACCEPT_EPS:
+        if best is None or not best[0] > _ACCEPT_EPS:
             continue
         _, b, d_e, s_b, d_prior = best
         if b == -1:

@@ -4,13 +4,17 @@ approximation score (aSBM).
 Edges appear with probability lambda_in inside communities and lambda_out
 between them; Beta priors on both rates integrate out exactly, leaving a
 likelihood that depends on the partition only through four edge/non-edge
-counts. The local score replaces the global counts with extrapolations from
-one candidate community under the assumption that the rest of the graph is
-tiled by k = N/n identical copies of it.
+counts. That likelihood is written once, as the scalar kernel
+sbm_log_marginal: six math.lgamma calls, the prior constant 2 log B(a+, a-)
+computed inline, and one domain check per Beta argument. The local score
+replaces the global counts with extrapolations from one candidate community
+under the assumption that the rest of the graph is tiled by k = N/n
+identical copies of it.
 """
 
 import math
 from dataclasses import dataclass
+from math import lgamma
 
 import numpy as np
 
@@ -31,6 +35,8 @@ class SbmPriors:
             raise ValueError("Beta prior parameters must be positive")
         if not self.gamma_exp > 1.0:
             raise ValueError(f"gamma_exp must exceed 1, got {self.gamma_exp}")
+        if not all(map(math.isfinite, (self.alpha_plus, self.alpha_minus, self.gamma_exp))):
+            raise ValueError("SBM prior parameters must be finite")
 
 
 @dataclass(frozen=True)
@@ -77,17 +83,29 @@ def exact_edge_counts(graph, partition):
                                   graph.edge_count, n * (n - 1) // 2)
 
 
-def sbm_log_likelihood(counts, priors):
-    """Log marginal likelihood of a graph given the partition's EdgeCounts.
+def sbm_log_marginal(ai_plus, ai_minus, ab_plus, ab_minus, alpha_plus, alpha_minus):
+    """Log marginal likelihood of a graph from its four edge/non-edge counts.
 
-    log B(a+ + ai+, a- + ai-) + log B(a+ + ab+, a- + ab-) - 2 log B(a+, a-).
+    log B(a+ + ai+, a- + ai-) + log B(a+ + ab+, a- + ab-) - 2 log B(a+, a-),
+    each log B written out as math.lgamma terms. Every Beta argument must be
+    positive and finite; otherwise BetaParams raises the ValueError.
     """
-    ap, am = priors.alpha_plus, priors.alpha_minus
-    return (
-        log_beta(BetaParams(ap + counts.ai_plus, am + counts.ai_minus))
-        + log_beta(BetaParams(ap + counts.ab_plus, am + counts.ab_minus))
-        - 2.0 * log_beta(BetaParams(ap, am))
-    )
+    a1, b1 = alpha_plus + ai_plus, alpha_minus + ai_minus
+    a2, b2 = alpha_plus + ab_plus, alpha_minus + ab_minus
+    if not (0.0 < a1 < math.inf and 0.0 < b1 < math.inf
+            and 0.0 < a2 < math.inf and 0.0 < b2 < math.inf):
+        # Outside the domain the checked form raises, naming the argument.
+        return log_beta(BetaParams(a1, b1)) + log_beta(BetaParams(a2, b2))
+    return ((lgamma(a1) + lgamma(b1) - lgamma(a1 + b1))
+            + (lgamma(a2) + lgamma(b2) - lgamma(a2 + b2))
+            - 2.0 * (lgamma(alpha_plus) + lgamma(alpha_minus)
+                     - lgamma(alpha_plus + alpha_minus)))
+
+
+def sbm_log_likelihood(counts, priors):
+    """sbm_log_marginal of an EdgeCounts under SbmPriors."""
+    return sbm_log_marginal(counts.ai_plus, counts.ai_minus, counts.ab_plus,
+                            counts.ab_minus, priors.alpha_plus, priors.alpha_minus)
 
 
 def log_partition_prior(community_sizes, gamma_exp):

@@ -358,6 +358,14 @@ class TestInvalidFlagValues:
                   "--alpha", "0"],
         "n-values": ["nsweep", *GRAPH, "--communities", "g.cmty",
                      "--n-values", "12,0", "--samples", "1"],
+        # Non-finite priors: once an endless Louvain, a score with
+        # conductance 1, and an exit 1 from deep inside the search.
+        "gamma-inf-global": ["global", *GRAPH, "--method", "gsbm", "--gamma", "inf",
+                             "--out", "parts.txt"],
+        "gamma-inf-detect": ["detect", *GRAPH, "--seed", "0", "--method", "asbm",
+                             "--gamma", "inf"],
+        "alpha-plus-inf": ["detect", *GRAPH, "--seed", "0", "--method", "asbm",
+                           "--alpha-plus", "inf"],
     }
 
     @pytest.mark.parametrize("flag", CASES)

@@ -105,7 +105,9 @@ class TestPriors:
         assert (UNIFORM.alpha, UNIFORM.theta, UNIFORM.gamma_exp) == (1.0, 1.0, 2.0)
 
     @pytest.mark.parametrize(
-        "kw", [{"alpha": 0.0}, {"theta": -2.0}, {"gamma_exp": 1.0}]
+        "kw", [{"alpha": 0.0}, {"theta": -2.0}, {"gamma_exp": 1.0},
+               {"alpha": math.inf}, {"theta": math.inf}, {"gamma_exp": math.inf},
+               {"theta": math.nan}]
     )
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):

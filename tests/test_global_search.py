@@ -12,9 +12,11 @@ from blockcomm.global_search import (
     _converge_vb,
     _FrozenDcbmGain,
     _move_phase_gsbm,
+    _PriorTracker,
     _resolve_merges,
     _SbmGain,
     _SuperGraph,
+    _sweep,
     louvain,
     objective_value,
 )
@@ -295,6 +297,50 @@ class TestGains:
         self.walk(gain, surrogate)
 
 
+class TestPriorTracker:
+    # The tracker reads the prior's per-community terms from a table; every
+    # entry and every move change must equal the formula it replaces.
+
+    @pytest.mark.parametrize("gamma_exp", [2.0, 2.7])
+    def test_table_matches_formula(self, gamma_exp):
+        g = graph_from_edges(random_gnp(make_rng(31), 40, 0.1))
+        n = g.node_count
+        tracker = _PriorTracker(gamma_exp, _SuperGraph.from_graph(g).size)
+        lg = math.log(gamma_exp - 1.0)
+
+        def term(s):
+            return lg - gamma_exp * math.log(s) if s > 0 else 0.0
+
+        assert [tracker.term(s) for s in range(n + 1)] == [term(s) for s in range(n + 1)]
+        assert tracker.total == sum(term(1) for _ in range(n))
+        for s_a in range(1, n + 1):
+            for s_u in range(1, s_a + 1):
+                for s_b in range(n - s_u + 1):
+                    assert tracker.move_delta(s_a, s_b, s_u) == (
+                        term(s_a - s_u) - term(s_a) + term(s_b + s_u) - term(s_b))
+
+
+class _NanGain:
+    """A gain that prices every move as NaN and must never apply one."""
+
+    def move(self, *args):
+        return math.nan
+
+    def apply_move(self, *args):
+        raise AssertionError("a NaN-priced move was applied")
+
+
+class TestSweep:
+    def test_nan_delta_is_never_accepted(self):
+        g = disjoint_cliques(2, 4)
+        sup = _SuperGraph.from_graph(g)
+        comm = np.arange(sup.n, dtype=np.int64)
+        csize = dict(enumerate(sup.size))
+        prior = _PriorTracker(2.0, sup.size)
+        assert _sweep(sup, comm, csize, prior, _NanGain(), make_rng(0)) == 0
+        assert np.array_equal(comm, np.arange(sup.n))
+
+
 class TestLouvain:
     def test_two_cliques_is_the_exhaustive_argmax(self):
         g = disjoint_cliques(2, 4)
@@ -363,6 +409,29 @@ class TestLouvain:
         g = disjoint_cliques(2, 3)
         with pytest.raises(ValueError, match="objective"):
             louvain(g, "walktrap", SbmPriors(), make_rng(0))
+
+    # Louvain on a seeded 120-node planted graph, pinned with == to the
+    # assignment (one digit per node) and objective the search gave before
+    # the likelihood kernel and the prior table were rewritten. A rewrite
+    # that is not bit-identical moves a decision or the objective's last bits.
+    GOLDEN = {
+        "gsbm": ("000003000000000000002232322223622426303511111511110111116111"
+                 "666666666666666666667707777777777777777788888888888888888888",
+                 -1552.6790032274785),
+        "gdcbm": ("000000010000100000001121111112131411232644444644440414443444"
+                  "333533333343633333366666636666666666666625555555555555555515",
+                  -1888.812409885697),
+    }
+
+    @pytest.mark.parametrize("objective", sorted(GOLDEN))
+    def test_golden_planted_partition(self, objective):
+        spec = PlantedSpec(communities=6, size=20, lambda_in=0.3, lambda_out=0.03)
+        g, _ = sample_sbm(spec, make_rng(120))
+        priors = SbmPriors() if objective == "gsbm" else DcbmPriors()
+        p = louvain(g, objective, priors, make_rng(7))
+        digits, value = self.GOLDEN[objective]
+        assert "".join(str(int(c)) for c in p.assignment) == digits
+        assert objective_value(g, p, objective, priors) == value
 
     def test_max_levels_one_still_valid(self):
         g = disjoint_cliques(2, 4)

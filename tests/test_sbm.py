@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from blockcomm.distributions import BetaParams, log_beta
 from blockcomm.graph import CommunityStats, community_stats
 from blockcomm.rng import make_rng
 from blockcomm.sbm import (
@@ -43,6 +44,10 @@ class TestPriors:
         {"alpha_minus": -1.0},
         {"gamma_exp": 1.0},
         {"gamma_exp": 0.5},
+        {"alpha_plus": math.inf},
+        {"alpha_minus": math.inf},
+        {"gamma_exp": math.inf},
+        {"alpha_plus": math.nan},
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -135,6 +140,58 @@ class TestSbmLogLikelihood:
             c = EdgeCounts(ai, len(within) - ai, ab, len(pairs) - len(within) - ab)
             total += math.exp(sbm_log_likelihood(c, UNIFORM))
         assert total == pytest.approx(1.0, rel=1e-12)
+
+
+def reference_sbm_log_likelihood(counts, priors):
+    """sbm_log_likelihood as it was written over BetaParams and log_beta."""
+    ap, am = priors.alpha_plus, priors.alpha_minus
+    return (
+        log_beta(BetaParams(ap + counts.ai_plus, am + counts.ai_minus))
+        + log_beta(BetaParams(ap + counts.ab_plus, am + counts.ab_minus))
+        - 2.0 * log_beta(BetaParams(ap, am))
+    )
+
+
+class TestKernelMatchesReference:
+    # The scalar kernel must reproduce the checked log_beta form to the bit,
+    # so that Louvain's move decisions and every score are unchanged.
+
+    PRIORS = [UNIFORM, SbmPriors(alpha_plus=0.3, alpha_minus=2.5)]
+
+    @pytest.mark.parametrize("priors", PRIORS)
+    def test_random_integer_counts(self, priors):
+        rng = make_rng(909)
+        for _ in range(500):
+            counts = EdgeCounts(*(int(x) for x in rng.integers(0, 10 ** rng.integers(1, 9), 4)))
+            assert sbm_log_likelihood(counts, priors) == reference_sbm_log_likelihood(
+                counts, priors)
+
+    @pytest.mark.parametrize("priors", PRIORS)
+    def test_tilde_counts(self, priors):
+        # Fractional k = N/n gives non-integer counts; M at least k w keeps
+        # the tiling realizable.
+        rng = make_rng(910)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            w = int(rng.integers(1, n * (n - 1) // 2 + 1))
+            N = int(rng.integers(n, 5000))
+            M = math.ceil(N / n * w) + int(rng.integers(0, 20 * N))
+            counts, _ = asbm_tilde_counts(CommunityStats(n=n, w=w, v=0, sumsq_alpha_d=0.0),
+                                          N, M)
+            assert not counts.degenerate
+            assert sbm_log_likelihood(counts, priors) == reference_sbm_log_likelihood(
+                counts, priors)
+
+    @pytest.mark.parametrize("counts", [
+        (-1, 2, 1, 8),
+        (4, -3, 1, 8),
+        (4, 2, -1.5, 8),
+        (4, 2, 1, math.inf),
+        (math.nan, 2, 1, 8),
+    ])
+    def test_argument_outside_the_domain_raises(self, counts):
+        with pytest.raises(ValueError, match="Beta parameter"):
+            sbm_log_likelihood(EdgeCounts(*counts), UNIFORM)
 
 
 class TestLogPartitionPrior:
