@@ -10,6 +10,7 @@ problems, 2 usage or domain errors.
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -107,7 +108,15 @@ def cmd_detect(args):
         raise DomainError(f"seed id {args.seed} not present in {args.graph}")
     seed = graph.node_labels[args.seed]
     cfg = _search_config(args)
-    result = detect(graph, seed, cfg)
+    too_small = f"--formal-n {cfg.formal_N} is too small for seed {args.seed}"
+    try:
+        result = detect(graph, seed, cfg)
+    except ValueError as exc:
+        if cfg.formal_N is None:
+            raise
+        raise DomainError(f"{too_small}: {exc}") from None
+    if not math.isfinite(result.log_score):
+        raise DomainError(f"{too_small}: no candidate has a finite score")
     st = result.stats
     cond = stats_conductance(st)
     ext = sorted(graph.external_ids[i] for i in result.members)
@@ -217,8 +226,8 @@ def cmd_eval(args):
     detector = _external_detector(args.external_results, graph) \
         if args.external_results else None
     rng = make_rng(args.rng_seed)
-    rows, summary = run_protocol(graph, truths, cfg, args.samples, rng,
-                                 detector=detector)
+    rows, summary = _from_flags(run_protocol, graph, truths, cfg, args.samples, rng,
+                                detector=detector)
     with open(args.out, "w") as fh:
         fh.write("\t".join(_ROW_HEADER) + "\n")
         for row in rows:
@@ -255,11 +264,11 @@ def cmd_nsweep(args):
                            rng_seed=args.rng_seed, formal_N=formal_n,
                            priors=_dcbm_priors(args))
                for formal_n in n_values]
+    # identical sampling stream per N so rows differ only in the score's totals
+    summaries = [_from_flags(run_protocol, graph, truths, cfg, args.samples,
+                             make_rng(args.rng_seed))[1] for cfg in configs]
     print("formal_n\tmean_f1\tmean_size")
-    for cfg in configs:
-        # identical sampling stream per N so rows differ only in the score's totals
-        rng = make_rng(args.rng_seed)
-        _, summary = run_protocol(graph, truths, cfg, args.samples, rng)
+    for cfg, summary in zip(configs, summaries):
         print(f"{cfg.formal_N}\t{summary['mean_f1']:.6f}\t{summary['mean_found_size']:.6f}")
     _write_manifest(args.manifest, "nsweep", args, args.graph, started,
                     columns=("formal_n", "mean_f1", "mean_size"))

@@ -140,9 +140,14 @@ def run_protocol(graph, truths, cfg, samples, rng, detector=None):
         sample whose detection or scoring raises ValueError becomes a failed
         row whose error reads "ValueError: <message>"; any other exception
         propagates.
+
+    Raises:
+        ValueError: on an empty truth list or samples < 1.
     """
     if not truths:
         raise ValueError("run_protocol requires a non-empty truth list")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rows = []
     picks = _sample_indices(len(truths), samples, rng)
     method = cfg.method if detector is None else getattr(detector, "name", "external")

@@ -6,6 +6,7 @@ Degree-corrected samples binarize their Poisson pair counts so the rest of
 the toolkit can keep assuming simple graphs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,9 @@ class PlantedSpec:
             raise ValueError("communities and size must be >= 1")
         if self.model not in ("sbm", "dcbm"):
             raise ValueError(f"unknown model {self.model!r}; expected 'sbm' or 'dcbm'")
+        for name in ("lambda_in", "lambda_out", "dcbm_alpha", "dcbm_theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.model == "sbm":
             for p in (self.lambda_in, self.lambda_out):
                 if not 0.0 <= p <= 1.0:
@@ -75,8 +79,7 @@ def sample_sbm(spec, rng):
     iu, ju, same = _pair_arrays(n_nodes, spec)
     p = np.where(same, spec.lambda_in, spec.lambda_out)
     keep = rng.random(len(iu)) < p
-    edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
-    return Graph.from_edges(n_nodes, edges), _planted_truth(spec)
+    return Graph(n_nodes, np.column_stack((iu[keep], ju[keep]))), _planted_truth(spec)
 
 
 def sample_dcbm(spec, rng):
@@ -103,5 +106,4 @@ def sample_dcbm(spec, rng):
             "use a smaller dcbm_theta or smaller rates")
     counts = rng.poisson(rate)
     keep = counts >= 1
-    edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
-    return Graph.from_edges(n_nodes, edges), _planted_truth(spec)
+    return Graph(n_nodes, np.column_stack((iu[keep], ju[keep]))), _planted_truth(spec)

@@ -7,7 +7,6 @@ sit back to back in one read-only array (compressed sparse row), so counts
 over a whole partition are single numpy expressions.
 """
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ class Graph:
         edge_count: number of edges M (each edge counted once).
         indptr: int64 array of N + 1 offsets into indices.
         indices: int64 array of 2M neighbor ids; the neighbors of node i are
-            indices[indptr[i]:indptr[i + 1]], sorted when built by from_edges.
+            indices[indptr[i]:indptr[i + 1]], in ascending order.
         degrees: int64 array, degrees[i] = indptr[i + 1] - indptr[i].
         node_labels: dict external id -> dense internal index (identity-free
             graphs built in memory use i -> i).
@@ -36,27 +35,27 @@ class Graph:
     __slots__ = ("node_count", "edge_count", "indptr", "indices", "degrees",
                  "node_labels", "external_ids", "dropped_duplicates", "dropped_self_loops")
 
-    def __init__(self, node_count, adjacency, node_labels=None, external_ids=None,
+    def __init__(self, node_count, edges, node_labels=None, external_ids=None,
                  dropped_duplicates=0, dropped_self_loops=0):
-        """Build from per-node neighbor lists, adjacency[i] = neighbors of i."""
-        degrees = np.array([len(a) for a in adjacency], dtype=np.int64)
-        indices = np.fromiter(itertools.chain.from_iterable(adjacency), dtype=np.int64,
-                              count=int(degrees.sum()))
-        self._set_arrays(node_count, indices, degrees, node_labels, external_ids,
-                         dropped_duplicates, dropped_self_loops)
+        """Build from (i, j) dense-index pairs (a sequence or an (M, 2) array).
 
-    def _set_arrays(self, node_count, indices, degrees, node_labels, external_ids,
-                    dropped_duplicates, dropped_self_loops):
-        total = int(degrees.sum())
-        if total % 2 != 0:
-            raise ValueError("adjacency lists do not describe an undirected graph")
+        The pairs must already be deduplicated and self-loop free.
+        """
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        degrees = np.bincount(pairs.ravel(), minlength=node_count)
+        # Sort both orientations of every edge by the key row * N + column,
+        # then keep the columns, in place to hold one 2M-entry buffer.
+        indices = np.concatenate((pairs[:, 0] * node_count + pairs[:, 1],
+                                  pairs[:, 1] * node_count + pairs[:, 0]))
+        indices.sort()
+        indices %= node_count
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
         # Freeze the arrays so the graph is safely shareable.
         for arr in (indptr, indices, degrees):
             arr.setflags(write=False)
         self.node_count = node_count
-        self.edge_count = total // 2
+        self.edge_count = len(pairs)
         self.indptr, self.indices, self.degrees = indptr, indices, degrees
         if external_ids is None:
             external_ids = list(range(node_count))
@@ -66,6 +65,11 @@ class Graph:
         self.external_ids = external_ids
         self.dropped_duplicates = dropped_duplicates
         self.dropped_self_loops = dropped_self_loops
+
+    @classmethod
+    def from_edges(cls, *args, **kwargs):
+        """Graph(*args, **kwargs), under the name the edge-array callers use."""
+        return cls(*args, **kwargs)
 
     def neighbors(self, i):
         """Read-only view of node i's neighbor array (dense index)."""
@@ -82,26 +86,6 @@ class Graph:
         labels = np.asarray(labels)
         same = np.repeat(labels, self.degrees) == labels[self.indices]
         return int(np.count_nonzero(same)) // 2
-
-    @staticmethod
-    def from_edges(node_count, edges, node_labels=None, external_ids=None,
-                   dropped_duplicates=0, dropped_self_loops=0):
-        """Build a Graph from (i, j) dense-index pairs (a sequence or an (M, 2) array).
-
-        The pairs must already be deduplicated and self-loop free.
-        """
-        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        degrees = np.bincount(pairs.ravel(), minlength=node_count)
-        # Sort both orientations of every edge by the key row * N + column,
-        # then keep the columns, in place to hold one 2M-entry buffer.
-        indices = np.concatenate((pairs[:, 0] * node_count + pairs[:, 1],
-                                  pairs[:, 1] * node_count + pairs[:, 0]))
-        indices.sort()
-        indices %= node_count
-        graph = object.__new__(Graph)
-        graph._set_arrays(node_count, indices, degrees, node_labels, external_ids,
-                          dropped_duplicates, dropped_self_loops)
-        return graph
 
 
 def dense_labels(partition, node_count):
@@ -143,7 +127,8 @@ class CommunityStats:
 def load_edge_list(stream):
     """Parse a whitespace-delimited edge list into a Graph.
 
-    Lines starting with '#' and blank lines are ignored. Duplicate edges
+    Lines starting with '#' and blank lines are ignored. Node ids of any
+    size get dense indices in order of first appearance. Duplicate edges
     (either orientation) and self-loops are dropped; their counts end up on
     the returned Graph and trigger one summary warning.
 
@@ -157,11 +142,7 @@ def load_edge_list(stream):
         ValueError: on a malformed line (with its line number) or empty input.
     """
     labels = {}
-    external_ids = []
-    edges = set()
-    dup = 0
-    loops = 0
-    saw_data = False
+    ends = []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -173,26 +154,20 @@ def load_edge_list(stream):
             u_ext, v_ext = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer node id in {parts!r}") from None
-        saw_data = True
-        for ext in (u_ext, v_ext):
-            if ext not in labels:
-                labels[ext] = len(external_ids)
-                external_ids.append(ext)
-        u, v = labels[u_ext], labels[v_ext]
-        if u == v:
-            loops += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in edges:
-            dup += 1
-            continue
-        edges.add(key)
-    if not saw_data:
+        ends.append(labels.setdefault(u_ext, len(labels)))
+        ends.append(labels.setdefault(v_ext, len(labels)))
+    if not ends:
         raise ValueError("empty edge list: no edges found in input")
+    n = len(labels)
+    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    keys = np.unique((lo * n + hi)[lo != hi])
+    loops = int(np.count_nonzero(lo == hi))
+    dup = len(pairs) - loops - len(keys)
     if dup or loops:
         warnings.warn(f"dropped {dup} duplicate edge(s) and {loops} self-loop(s)")
-    return Graph.from_edges(len(external_ids), list(edges), labels, external_ids,
-                            dropped_duplicates=dup, dropped_self_loops=loops)
+    return Graph(n, np.column_stack((keys // n, keys % n)), labels, list(labels),
+                 dropped_duplicates=dup, dropped_self_loops=loops)
 
 
 def load_communities(stream, graph, min_size=3):
@@ -262,31 +237,17 @@ def community_stats(graph, members, alpha=1.0):
     return CommunityStats(n=n, w=twice_w // 2, v=v, sumsq_alpha_d=sumsq)
 
 
-def add_node_delta(stats, graph, u, members, alpha=1.0):
-    """Stats of members + {u}, computed incrementally in O(deg(u)).
+def add_node_delta(stats, graph, u, links, alpha=1.0):
+    """Stats of a community grown by the non-member u, in O(1).
 
-    Equals community_stats recomputed from scratch on the grown set; the
-    greedy search leans on this to stay local.
-
-    Raises:
-        ValueError: if u is already a member.
+    links: number of u's edges into the community. Equals community_stats
+    recomputed from scratch on the grown set; the greedy search leans on
+    this to stay local.
     """
-    if not isinstance(members, (set, frozenset)):
-        members = set(members)
-    if u in members:
-        raise ValueError(f"node {u} is already a community member")
     deg = graph.degree(u)
-    # Python ints from tolist() hash faster than numpy scalars.
-    dw = len(members.intersection(graph.neighbors(u).tolist()))
     return CommunityStats(
         n=stats.n + 1,
-        w=stats.w + dw,
+        w=stats.w + links,
         v=stats.v + deg,
         sumsq_alpha_d=stats.sumsq_alpha_d + (alpha - 1.0 + deg) ** 2,
     )
-
-
-def singleton_stats(graph, u, alpha=1.0):
-    """Stats of the single-node community {u}."""
-    deg = graph.degree(u)
-    return CommunityStats(n=1, w=0, v=deg, sumsq_alpha_d=(alpha - 1.0 + deg) ** 2)

@@ -2,19 +2,22 @@
 
 The search grows a community from the seed by repeatedly scanning the
 frontier (neighbors of current members) in a shuffled order and keeping any
-node whose addition strictly improves the score. It touches only members,
-the frontier, and the frontier's neighbors, so the cost scales with the
-recovered community's volume rather than the graph size. Restarts from
-one seed, and the repeated scans of a frontier, offer many of the same
-candidates, so detect scores each distinct candidate once per call.
+node whose addition strictly improves the score. Each frontier node carries
+its count of edges into the community, so a candidate's stats cost O(1).
+The search reads only the members' neighbor lists and the frontier's
+degrees, so its cost scales with the recovered community's volume rather
+than the graph size. Restarts from one seed, and the repeated scans of a
+frontier, offer many of the same candidates, so detect scores each
+distinct candidate once per call.
 """
 
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 from .dcbm import DcbmPriors, adcbm_log_score, formal_n_totals
-from .graph import add_node_delta, singleton_stats
+from .graph import add_node_delta, community_stats
 from .rng import derived_rng
 from .sbm import SbmPriors, asbm_log_score
 
@@ -74,7 +77,7 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0, max_passes=100):
         warning instead of failing.
     """
     start = time.perf_counter()
-    stats = singleton_stats(graph, seed, alpha)
+    stats = community_stats(graph, {seed}, alpha)
     score = scorer(stats)
     members = {seed}
     if graph.degree(seed) == 0:
@@ -82,28 +85,26 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0, max_passes=100):
         return DetectionResult({seed}, score, stats, passes=0,
                                elapsed=time.perf_counter() - start)
 
-    frontier = set(int(j) for j in graph.neighbors(seed))
+    # Frontier node -> number of its edges into the community.
+    links = Counter(graph.neighbors(seed).tolist())
     passes = 0
     while passes < max_passes:
         passes += 1
-        order = sorted(frontier)
+        order = sorted(links)
         rng.shuffle(order)
         added_any = False
         for u in order:
-            if u in members:
-                continue
-            cand = add_node_delta(stats, graph, u, members, alpha)
+            cand = add_node_delta(stats, graph, u, links[u], alpha)
             cand_score = scorer(cand)
             if cand_score > score:
                 members.add(u)
                 stats = cand
                 score = cand_score
                 added_any = True
-                frontier.discard(u)
-                for x in graph.neighbors(u):
-                    x = int(x)
+                del links[u]
+                for x in graph.neighbors(u).tolist():
                     if x not in members:
-                        frontier.add(x)
+                        links[x] += 1
         if not added_any:
             break
     return DetectionResult(members, score, stats, passes=passes,

@@ -366,7 +366,39 @@ class TestInvalidFlagValues:
                              "--gamma", "inf"],
         "alpha-plus-inf": ["detect", *GRAPH, "--seed", "0", "--method", "asbm",
                            "--alpha-plus", "inf"],
+        # Sample counts below 1: once two samples for -1 and an empty summary
+        # for 0.
+        "samples-eval-neg": ["eval", *GRAPH, "--communities", "g.cmty", "--method",
+                             "asbm", "--samples", "-1", "--out", "rows.tsv"],
+        "samples-eval-zero": ["eval", *GRAPH, "--communities", "g.cmty", "--method",
+                              "asbm", "--samples", "0", "--out", "rows.tsv"],
+        "samples-nsweep": ["nsweep", *GRAPH, "--communities", "g.cmty",
+                           "--n-values", "12", "--samples", "-2"],
+        # A formal N too small for the seed's community: once exit 1 from
+        # deep inside the score, or a -Infinity score in the JSON output.
+        "formal-n-adcbm-1": ["detect", *GRAPH, "--seed", "0", "--method", "adcbm",
+                             "--formal-n", "1"],
+        "formal-n-adcbm-3": ["detect", *GRAPH, "--seed", "0", "--method", "adcbm",
+                             "--formal-n", "3"],
+        "formal-n-asbm-1": ["detect", *GRAPH, "--seed", "0", "--method", "asbm",
+                            "--formal-n", "1"],
+        "formal-n-asbm-2-json": ["detect", *GRAPH, "--seed", "0", "--method", "asbm",
+                                 "--formal-n", "2", "--json"],
+        # Non-finite planted parameters: once an exit 2 only through the
+        # Poisson sampler's "lam value too large", naming no parameter.
+        "lambda-in-nan": ["generate", "--model", "dcbm", "--communities", "2",
+                          "--size", "4", "--lambda-in", "nan", "--lambda-out", "0.1",
+                          "--out", "planted"],
+        "theta-nan": ["generate", "--model", "dcbm", "--communities", "2",
+                      "--size", "4", "--lambda-in", "0.5", "--lambda-out", "0.1",
+                      "--theta", "nan", "--out", "planted"],
     }
+    # Words the error line must contain, where the case pins them.
+    NAMED = {"samples-eval-neg": "samples", "samples-eval-zero": "samples",
+             "samples-nsweep": "samples", "formal-n-adcbm-1": "--formal-n 1",
+             "formal-n-adcbm-3": "--formal-n 3", "formal-n-asbm-1": "--formal-n 1",
+             "formal-n-asbm-2-json": "--formal-n 2", "lambda-in-nan": "lambda_in",
+             "theta-nan": "dcbm_theta"}
 
     @pytest.mark.parametrize("flag", CASES)
     def test_exits_2_with_error_line(self, in_tmp, capsys, flag):
@@ -375,4 +407,5 @@ class TestInvalidFlagValues:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("error: ")
+        assert self.NAMED.get(flag, "") in captured.err
         assert captured.out == ""

@@ -47,6 +47,14 @@ class TestSpecValidation:
             PlantedSpec(communities=2, size=5, lambda_in=1.0, lambda_out=0.1,
                         model="dcbm", dcbm_alpha=0.0)
 
+    @pytest.mark.parametrize("name", ["lambda_in", "lambda_out", "dcbm_alpha", "dcbm_theta"])
+    @pytest.mark.parametrize("model", ["sbm", "dcbm"])
+    def test_non_finite_parameter_named(self, model, name):
+        params = dict(lambda_in=0.5, lambda_out=0.1, dcbm_alpha=1.0, dcbm_theta=1.0)
+        params[name] = float("nan")
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got nan$"):
+            PlantedSpec(communities=2, size=5, model=model, **params)
+
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="model"):
             PlantedSpec(communities=2, size=5, lambda_in=0.5, lambda_out=0.1,

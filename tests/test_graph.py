@@ -1,6 +1,7 @@
 """Graph loading, serialization, and community statistics."""
 
 import io
+import itertools
 import warnings
 
 import numpy as np
@@ -12,7 +13,6 @@ from blockcomm.graph import (
     community_stats,
     load_communities,
     load_edge_list,
-    singleton_stats,
     write_communities,
     write_edge_list,
 )
@@ -52,6 +52,20 @@ class TestLoadEdgeList:
         big = 2**63 - 1
         g = load_edge_list(io.StringIO(f"{big} 0"))
         assert g.node_labels[big] == 0
+
+    def test_messy_list_relabels_in_bulk(self):
+        big = 2**70
+        text = (f"# messy\n5 {big}\n{big} 5\n5 5\n\n7 5\n5 7\n"
+                f"{big} {big}\n# again\n3 7\n5 {big}\n")
+        with pytest.warns(UserWarning, match="3 duplicate.*2 self-loop"):
+            g = load_edge_list(io.StringIO(text))
+        assert g.external_ids == [5, big, 7, 3]
+        assert g.node_labels == {5: 0, big: 1, 7: 2, 3: 3}
+        assert (g.dropped_duplicates, g.dropped_self_loops) == (3, 2)
+        h = Graph.from_edges(4, [(0, 1), (2, 0), (3, 2)])
+        assert (g.node_count, g.edge_count) == (h.node_count, h.edge_count)
+        for arr in ("indptr", "indices", "degrees"):
+            assert np.array_equal(getattr(g, arr), getattr(h, arr))
 
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -202,32 +216,26 @@ class TestAddNodeDelta:
     def test_isolated_node_changes_nothing_but_n(self):
         g = Graph.from_edges(5, [(0, 1), (2, 3)])
         st = community_stats(g, {0, 1})
-        st2 = add_node_delta(st, g, 4, {0, 1})
+        st2 = add_node_delta(st, g, 4, 0)
         assert (st2.n, st2.w, st2.v) == (3, 1, 2)
 
     def test_three_edges_into_members(self):
         edges = clique_edges(range(4)) + [(4, 0), (4, 1), (4, 2), (4, 7)]
         g = graph_from_edges(edges)
-        members = {0, 1, 2, 3}
-        st = community_stats(g, members)
-        st2 = add_node_delta(st, g, 4, members)
-        assert st2.w - st.w == 3
+        st = community_stats(g, {0, 1, 2, 3})
+        st2 = add_node_delta(st, g, 4, 3)
+        assert st2 == community_stats(g, {0, 1, 2, 3, 4})
         assert st2.v - st.v == g.degree(4)
-
-    def test_already_member_rejected(self):
-        g = graph_from_edges(clique_edges(range(3)))
-        st = community_stats(g, {0, 1})
-        with pytest.raises(ValueError, match="already"):
-            add_node_delta(st, g, 1, {0, 1})
 
     def test_growth_sequence_matches_scratch(self):
         rng = make_rng(77)
         g = graph_from_edges(random_gnp(rng, 60, 0.08))
-        order = list(rng.permutation(g.node_count))[:50]
+        order = [int(u) for u in rng.permutation(g.node_count)][:50]
         members = {order[0]}
-        st = singleton_stats(g, order[0], alpha=2.5)
+        st = community_stats(g, members, alpha=2.5)
         for u in order[1:]:
-            st = add_node_delta(st, g, u, members, alpha=2.5)
+            links = sum(1 for x in g.neighbors(u) if int(x) in members)
+            st = add_node_delta(st, g, u, links, alpha=2.5)
             members.add(u)
             ref = community_stats(g, members, alpha=2.5)
             assert (st.n, st.w, st.v) == (ref.n, ref.w, ref.v)
@@ -235,10 +243,6 @@ class TestAddNodeDelta:
 
 
 class TestGraphValidation:
-    def test_asymmetric_adjacency_rejected(self):
-        with pytest.raises(ValueError, match="undirected"):
-            Graph(2, [[1], []])
-
     def test_immutable_arrays(self):
         g = graph_from_edges([(0, 1)])
         with pytest.raises((ValueError, RuntimeError)):
@@ -254,11 +258,10 @@ class TestCsr:
             adj[i].append(j)
             adj[j].append(i)
         g = Graph.from_edges(40, edges[::-1])
-        h = Graph(40, [sorted(a) for a in adj])
-        for arr in ("indptr", "indices", "degrees"):
-            assert np.array_equal(getattr(g, arr), getattr(h, arr))
         assert g.edge_count == len(edges)
-        assert all(list(g.neighbors(i)) == sorted(adj[i]) for i in range(40))
+        assert list(g.degrees) == [len(a) for a in adj]
+        assert list(g.indptr) == [0, *itertools.accumulate(len(a) for a in adj)]
+        assert list(g.indices) == [j for a in adj for j in sorted(a)]
 
     def test_within_edges_matches_loop(self):
         rng = make_rng(9)

@@ -8,7 +8,7 @@ import pytest
 from blockcomm import local_search
 from blockcomm.dcbm import DcbmPriors
 from blockcomm.generators import PlantedSpec, sample_sbm
-from blockcomm.graph import Graph, add_node_delta, community_stats
+from blockcomm.graph import Graph, community_stats
 from blockcomm.local_search import (
     DetectionResult,
     SearchConfig,
@@ -237,13 +237,13 @@ def planted_fixture():
     return graph
 
 
-def reference_detect(graph, seed, cfg):
+def reference_detect(graph, seed, cfg, expand=greedy_expand):
     """Best of restarts with every candidate scored afresh."""
     scorer, alpha = make_scorer(graph, cfg)
     best = None
     for r in range(cfg.restarts):
-        result = greedy_expand(graph, seed, scorer, derived_rng(cfg.rng_seed, r),
-                               alpha=alpha, max_passes=cfg.max_passes)
+        result = expand(graph, seed, scorer, derived_rng(cfg.rng_seed, r),
+                        alpha=alpha, max_passes=cfg.max_passes)
         result.restart_index = r
         if best is None or result.log_score > best.log_score:
             best = result
@@ -283,13 +283,42 @@ class TestScoreOnce:
             assert (got.restart_index, got.passes) == (want.restart_index, want.passes)
 
 
-class TestAddNodeDeltaMemberTypes:
-    @pytest.mark.parametrize("container", [set, frozenset, list])
-    def test_any_member_container(self, container):
-        g = bridge_graph()
-        members = container([0, 1, 2])
-        stats = community_stats(g, {0, 1, 2})
-        assert add_node_delta(stats, g, 3, members) == community_stats(g, {0, 1, 2, 3})
-        assert add_node_delta(stats, g, 4, members) == community_stats(g, {0, 1, 2, 4})
-        with pytest.raises(ValueError, match="already"):
-            add_node_delta(stats, g, 1, members)
+def scratch_greedy(graph, seed, scorer, rng, alpha, max_passes):
+    """greedy_expand with every candidate's stats recomputed from scratch."""
+    members = {seed}
+    stats = community_stats(graph, members, alpha)
+    score = scorer(stats)
+    frontier = {int(x) for x in graph.neighbors(seed)}
+    passes = 0
+    while passes < max_passes:
+        passes += 1
+        order = sorted(frontier)
+        rng.shuffle(order)
+        added_any = False
+        for u in order:
+            cand = community_stats(graph, members | {u}, alpha)
+            cand_score = scorer(cand)
+            if cand_score > score:
+                members.add(u)
+                stats, score, added_any = cand, cand_score, True
+                frontier.discard(u)
+                frontier.update(int(x) for x in graph.neighbors(u)
+                                if int(x) not in members)
+        if not added_any:
+            break
+    return DetectionResult(members, score, stats, passes=passes)
+
+
+class TestLinkCountsMatchScratchStats:
+    @pytest.mark.parametrize("method", ["asbm", "adcbm"])
+    def test_detect_equals_scratch_greedy(self, method):
+        g = planted_fixture()
+        for seed, rng_seed in ((0, 0), (17, 5), (33, 11), (58, 3)):
+            cfg = SearchConfig(method=method, restarts=5, rng_seed=rng_seed)
+            got = detect(g, seed, cfg)
+            want = reference_detect(g, seed, cfg, expand=scratch_greedy)
+            assert len(want.members) > 1
+            assert got.members == want.members
+            assert got.log_score == want.log_score
+            assert got.stats == want.stats
+            assert (got.restart_index, got.passes) == (want.restart_index, want.passes)
