@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import psi
 
-from .distributions import GammaParams, gamma_kl, gamma_kl_terms
+from .distributions import GammaParams, gamma_kl, gamma_kl_shape_terms, gamma_kl_terms
 from .graph import dense_labels
 
 # Gamma shapes hit alpha - 1 + count = 0 for edgeless candidates under the
@@ -98,13 +98,42 @@ def initial_variational_state(graph, priors):
     return VariationalState(a, theta_d, lam, lam, clamped)
 
 
+class VbPartition:
+    """A partition with everything vb_update and vb_bound derive from it alone.
+
+    Built by prepare_partition. vb_update and vb_bound take one wherever
+    they take a partition, so a fit that holds one partition for many
+    sweeps computes these once: the dense labels, the within-community edge
+    count, the starting state (its floored degree shapes are the shapes
+    every sweep sets), and psi and the Gamma-KL head of those shapes.
+    """
+
+    def __init__(self, graph, partition, priors):
+        self.graph, self.priors = graph, priors
+        self.labels = dense_labels(partition, graph.node_count)
+        self.within = graph.within_edges(self.labels)
+        self.start = initial_variational_state(graph, priors)
+        self.start.alpha_d.setflags(write=False)  # shared by every state of the fit
+        self.start_psi = psi(self.start.alpha_d)
+        self.start_kl_shape = gamma_kl_shape_terms(self.start.alpha_d, priors.alpha)
+
+
+def prepare_partition(graph, partition, priors):
+    """The VbPartition of partition on graph under priors (itself if it is one)."""
+    if isinstance(partition, VbPartition):
+        if partition.graph is graph and partition.priors == priors:
+            return partition
+        partition = partition.labels
+    return VbPartition(graph, partition, priors)
+
+
 def vb_update(graph, partition, state, priors):
     """One synchronous coordinate-ascent sweep over all surrogate factors.
 
     Update order: per-node shapes, per-node scales (all from the pre-sweep
     degree means), then the within rate factor and the between rate factor
     (from the fresh degree means). Per-node sums are formed from community
-    aggregates so a sweep costs O(N + M).
+    aggregates so a sweep costs O(N + M). partition may be a VbPartition.
 
     Raises:
         ValueError: if a scale denominator is not positive and finite.
@@ -112,12 +141,10 @@ def vb_update(graph, partition, state, priors):
     if graph.node_count == 0:
         lam = GammaParams(priors.alpha, priors.theta)
         return VariationalState(np.empty(0), np.empty(0), lam, lam, False)
-    assign = dense_labels(partition, graph.node_count)
+    fit = prepare_partition(graph, partition, priors)
+    assign = fit.labels
     alpha, theta = priors.alpha, priors.theta
-
-    a_d = priors.alpha - 1.0 + graph.degrees.astype(float)
-    clamped = bool((a_d < SHAPE_FLOOR).any())
-    a_d = np.maximum(a_d, SHAPE_FLOOR)
+    a_d, clamped = fit.start.alpha_d, fit.start.clamped
 
     e_lambda_in = state.lambda_in.mean
     e_lambda_out = state.lambda_out.mean
@@ -137,7 +164,7 @@ def vb_update(graph, partition, state, priors):
 
     same_pairs, cross_pairs = _pair_sums(assign, a_d * theta_d)
 
-    w_in = graph.within_edges(assign)
+    w_in = fit.within
     ai, c1 = _clamp_shape(alpha - 1.0 + w_in)
     theta_i = 1.0 / (1.0 / theta + same_pairs)
     ab, c2 = _clamp_shape(alpha - 1.0 + (graph.edge_count - w_in))
@@ -151,15 +178,21 @@ def vb_bound(graph, partition, state, priors):
 
     Sum over pairs of a_ij (E[log d_i] + E[log d_j] + E[log lambda]) minus
     E[d_i] E[d_j] E[lambda], minus all KL divergences of surrogate factors
-    from their priors. Pair sums use per-community aggregates.
+    from their priors. Pair sums use per-community aggregates. partition may
+    be a VbPartition.
     """
     if graph.node_count == 0:
         return 0.0
-    assign = dense_labels(partition, graph.node_count)
+    fit = prepare_partition(graph, partition, priors)
+    assign = fit.labels
     prior = GammaParams(priors.alpha, priors.theta)
 
-    e_log_d = psi(state.alpha_d) + np.log(state.theta_d)
-    w_in = graph.within_edges(assign)
+    if state.alpha_d is fit.start.alpha_d:
+        psi_d, kl_shape = fit.start_psi, fit.start_kl_shape
+    else:
+        psi_d, kl_shape = psi(state.alpha_d), None
+    e_log_d = psi_d + np.log(state.theta_d)
+    w_in = fit.within
     m = graph.edge_count
     edge_term = float((graph.degrees * e_log_d).sum())
     edge_term += w_in * state.lambda_in.mean_log
@@ -170,7 +203,7 @@ def vb_bound(graph, partition, state, priors):
 
     kl = (gamma_kl(state.lambda_in, prior) + gamma_kl(state.lambda_out, prior)
           + float(gamma_kl_terms(state.alpha_d, state.theta_d, prior.shape,
-                                 prior.scale).sum()))
+                                 prior.scale, kl_shape).sum()))
     return edge_term - quad - kl
 
 

@@ -73,7 +73,13 @@ def log_beta(p):
     return log_gamma(p.a) + log_gamma(p.b) - log_gamma(p.a + p.b)
 
 
-def gamma_kl_terms(shape_p, scale_p, shape_q, scale_q):
+def gamma_kl_shape_terms(shape_p, shape_q):
+    """The scale-free head of gamma_kl_terms:
+    (a_p - a_q) psi(a_p) - log Gamma(a_p) + log Gamma(a_q)."""
+    return (shape_p - shape_q) * psi(shape_p) - gammaln(shape_p) + gammaln(shape_q)
+
+
+def gamma_kl_terms(shape_p, scale_p, shape_q, scale_q, shape_terms=None):
     """Elementwise KL(Gamma(shape_p, scale_p) || Gamma(shape_q, scale_q)).
 
     Closed form in shape/scale parametrization:
@@ -81,8 +87,12 @@ def gamma_kl_terms(shape_p, scale_p, shape_q, scale_q):
       + a_q (log s_q - log s_p) + a_p (s_p / s_q - 1).
     Arguments are floats or broadcastable arrays; the result is a numpy
     scalar or array. Non-negative for valid parameters, zero iff p == q.
+    shape_terms, if given, is gamma_kl_shape_terms(shape_p, shape_q), so a
+    caller that holds the shapes fixed computes that head once.
     """
-    return ((shape_p - shape_q) * psi(shape_p) - gammaln(shape_p) + gammaln(shape_q)
+    if shape_terms is None:
+        shape_terms = gamma_kl_shape_terms(shape_p, shape_q)
+    return (shape_terms
             + shape_q * (np.log(scale_q) - np.log(scale_p))
             + shape_p * (scale_p / scale_q - 1.0))
 

@@ -10,6 +10,14 @@ they differ only in a small per-model gain that prices a move or a merge.
 The gSBM gain is exact, from the within-edge and within-pair totals. The
 gDCBM gain holds the variational surrogate fixed; it is refitted between
 sweeps, and a sweep whose refitted objective went down is rolled back.
+Each refit prepares its partition's invariants once for all of its VB sweeps.
+
+A level whose moving phase stalls tries a coarser partition. Where the
+gDCBM bound is floored (no within-community edges, as at the all-singletons
+start), the gSBM moving phase proposes it, and only when no node moves
+there does the merge scan run, priced by the SBM gain; elsewhere the scan
+runs with the level's own gain. The candidate is adopted only if its true
+objective is higher.
 """
 
 import math
@@ -19,7 +27,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .dcbm import SHAPE_FLOOR, initial_variational_state, vb_bound, vb_update
+from .dcbm import SHAPE_FLOOR, prepare_partition, vb_bound, vb_update
 from .distributions import GammaParams
 from .graph import dense_labels
 from .sbm import (SbmPriors, exact_edge_counts, log_partition_prior, sbm_log_likelihood,
@@ -62,12 +70,16 @@ class Partition:
 
 
 def _converge_vb(graph, assignment, priors, tol=1e-8, max_sweeps=200):
-    """Run vb_update sweeps until the bound stalls; returns (state, bound)."""
-    state = initial_variational_state(graph, priors)
-    bound = vb_bound(graph, assignment, state, priors)
+    """Run vb_update sweeps until the bound stalls; returns (state, bound).
+
+    The partition is prepared once, so the sweeps share its invariants.
+    """
+    fit = prepare_partition(graph, assignment, priors)
+    state = fit.start
+    bound = vb_bound(graph, fit, state, priors)
     for _ in range(max_sweeps):
-        state = vb_update(graph, assignment, state, priors)
-        new_bound = vb_bound(graph, assignment, state, priors)
+        state = vb_update(graph, fit, state, priors)
+        new_bound = vb_bound(graph, fit, state, priors)
         if abs(new_bound - bound) < tol:
             bound = new_bound
             break
@@ -407,18 +419,21 @@ def _resolve_merges(n, ops):
     return connected_components(merged, directed=False)[1]
 
 
-def _merge_bootstrap(graph, sup, orig_to_super, objective, priors, cur):
-    """Escape a stalled moving phase by adopting a better merged partition.
+def _merge_bootstrap(graph, sup, orig_to_super, objective, priors, cur, rng):
+    """Escape a stalled moving phase by adopting a better coarser partition.
 
     Merges are priced by the objective's gain: exact SBM posterior changes
     for gsbm, and frozen variational-surrogate changes for gdcbm. When the
     gdcbm bound is degenerate because the partition has no within-community
-    edges at all (the clamped rate shape poisons every surrogate delta),
-    merges are ranked by a plain-SBM density contrast instead (the SBM gain
-    at default Beta priors); the rate/degree gauge makes the empty bucket
-    incomparable with the fitted one, while the SBM contrast is scale-free.
-    Either way adoption happens only when the true objective of the merged
-    partition beats cur, the objective of the current one.
+    edges at all (the clamped rate shape poisons every surrogate delta), the
+    plain SBM (default Beta priors) stands in: the rate/degree gauge makes
+    the empty bucket incomparable with the fitted one, while the SBM
+    contrast is scale-free. Its moving phase, drawing from rng, proposes the
+    candidate; only when no node moves does the greedy merge scan, priced by
+    the SBM gain, look for one (single moves cannot pay the prior's cost of
+    a pair on small dense graphs). Either way adoption happens only when the
+    true objective of the candidate beats cur, the objective of the current
+    partition.
     """
     m, total_pairs = graph.edge_count, _pairs(graph.node_count)
     if objective == "gsbm":
@@ -426,11 +441,14 @@ def _merge_bootstrap(graph, sup, orig_to_super, objective, priors, cur):
     else:
         gain = _FrozenDcbmGain(graph, orig_to_super, np.arange(sup.n), priors)
         if gain.floored:
-            gain = _SbmGain(sup, m, total_pairs, SbmPriors(gamma_exp=priors.gamma_exp))
-    ops = _scan_merges(sup, gain, _PriorTracker(priors.gamma_exp, sup.size))
-    if ops is None:
-        return None
-    comm = _resolve_merges(sup.n, ops)
+            sbm = SbmPriors(gamma_exp=priors.gamma_exp)
+            comm, moved, _ = _move_phase_gsbm(sup, m, total_pairs, sbm, rng)
+            gain = None if moved else _SbmGain(sup, m, total_pairs, sbm)
+    if gain is not None:
+        ops = _scan_merges(sup, gain, _PriorTracker(priors.gamma_exp, sup.size))
+        if ops is None:
+            return None
+        comm = _resolve_merges(sup.n, ops)
     cand = objective_value(graph, comm[orig_to_super], objective, priors)
     if cand > cur + _ACCEPT_EPS:
         return comm
@@ -443,11 +461,14 @@ def louvain(graph, objective, priors, rng, max_levels=10):
     Returns the flattened Partition over original nodes. Each level runs the
     shared moving sweep with the objective's gain (gSBM: exact, until no node
     moves; gDCBM: frozen surrogate, refitted between sweeps). When a level's
-    moving phase finds no improving single move, a greedy merge scan priced
-    by the same gain looks for a coarser partition with a strictly better
-    objective before giving up (single moves cannot cross the prior's fixed
-    merge cost on small dense graphs). Stops when neither phase improves,
-    the graph collapses to one community, or max_levels is reached.
+    moving phase finds no improving single move, _merge_bootstrap looks for
+    a coarser partition with a strictly better objective before giving up:
+    a greedy merge scan priced by the same gain (single moves cannot cross
+    the prior's fixed merge cost on small dense graphs), except where the
+    gDCBM bound is floored, where the gSBM moving phase, drawing from rng,
+    proposes it first and the SBM-priced scan runs only if no node moved.
+    Stops when neither phase improves, the graph collapses to one community,
+    or max_levels is reached.
     """
     if objective not in ("gsbm", "gdcbm"):
         raise ValueError(f"unknown objective {objective!r}; expected 'gsbm' or 'gdcbm'")
@@ -461,7 +482,7 @@ def louvain(graph, objective, priors, rng, max_levels=10):
         else:
             comm, improved, start = _move_phase_gdcbm(graph, sup, orig_to_super, priors, rng)
         if not improved:
-            merged = _merge_bootstrap(graph, sup, orig_to_super, objective, priors, start)
+            merged = _merge_bootstrap(graph, sup, orig_to_super, objective, priors, start, rng)
             if merged is None:
                 break
             comm = merged

@@ -39,15 +39,32 @@ class Graph:
                  dropped_duplicates=0, dropped_self_loops=0):
         """Build from (i, j) dense-index pairs (a sequence or an (M, 2) array).
 
-        The pairs must already be deduplicated and self-loop free.
+        Raises:
+            ValueError: if edges is neither empty nor of shape (M, 2), names
+                a node outside [0, node_count), or holds a self-loop or a
+                pair twice (in either orientation).
         """
-        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(edges, dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        elif pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edges must be (i, j) pairs of shape (M, 2), got {pairs.shape}")
+        if len(pairs) and (pairs.min() < 0 or pairs.max() >= node_count):
+            bad = pairs[((pairs < 0) | (pairs >= node_count)).any(axis=1)][0]
+            raise ValueError(f"edge {tuple(bad.tolist())} names a node outside [0, {node_count})")
+        loops = pairs[:, 0] == pairs[:, 1]
+        if loops.any():
+            raise ValueError(f"edge {tuple(pairs[loops][0].tolist())} is a self-loop")
         degrees = np.bincount(pairs.ravel(), minlength=node_count)
         # Sort both orientations of every edge by the key row * N + column,
         # then keep the columns, in place to hold one 2M-entry buffer.
         indices = np.concatenate((pairs[:, 0] * node_count + pairs[:, 1],
                                   pairs[:, 1] * node_count + pairs[:, 0]))
         indices.sort()
+        repeated = indices[1:] == indices[:-1]
+        if repeated.any():
+            key = int(indices[1:][repeated][0])
+            raise ValueError(f"edge {key // node_count, key % node_count} appears twice")
         indices %= node_count
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])

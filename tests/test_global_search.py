@@ -5,12 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from blockcomm.dcbm import DcbmPriors, _pair_sums
+from blockcomm.dcbm import (
+    DcbmPriors,
+    _pair_sums,
+    initial_variational_state,
+    vb_bound,
+    vb_update,
+)
+from blockcomm import global_search
 from blockcomm.global_search import (
     Partition,
     _aggregate,
     _converge_vb,
     _FrozenDcbmGain,
+    _merge_bootstrap,
     _move_phase_gsbm,
     _PriorTracker,
     _resolve_merges,
@@ -152,6 +160,43 @@ class TestObjectiveValue:
             est = mx + np.log(w.mean())
             stderr = w.std() / (w.mean() * math.sqrt(n_samp))
             assert bound <= est + 3.0 * stderr
+
+
+class TestConvergeVb:
+    # _converge_vb prepares its partition once and shares the invariants
+    # across sweeps; a loop of public vb_update / vb_bound calls, which
+    # prepare from scratch on every call, must give the same bits.
+
+    @staticmethod
+    def reference(g, labels, priors, tol=1e-8, max_sweeps=200):
+        state = initial_variational_state(g, priors)
+        bound = vb_bound(g, labels, state, priors)
+        for _ in range(max_sweeps):
+            state = vb_update(g, labels, state, priors)
+            new_bound = vb_bound(g, labels, state, priors)
+            if abs(new_bound - bound) < tol:
+                bound = new_bound
+                break
+            bound = new_bound
+        return state, bound
+
+    @pytest.mark.parametrize("partition", ["planted", "singletons"])
+    def test_bit_identical_to_public_calls(self, partition):
+        spec = PlantedSpec(communities=4, size=15, lambda_in=0.4, lambda_out=0.03)
+        g, truth = sample_sbm(spec, make_rng(77))
+        labels = (assignment_of(truth, g.node_count) if partition == "planted"
+                  else np.arange(g.node_count))
+        priors = DcbmPriors()
+        state, bound = _converge_vb(g, labels, priors)
+        ref_state, ref_bound = self.reference(g, labels, priors)
+        assert bound == ref_bound
+        assert np.array_equal(state.alpha_d, ref_state.alpha_d)
+        assert np.array_equal(state.theta_d, ref_state.theta_d)
+        assert state.lambda_in == ref_state.lambda_in
+        assert state.lambda_out == ref_state.lambda_out
+        assert state.clamped == ref_state.clamped
+        floored = _FrozenDcbmGain(g, np.arange(g.node_count), labels, priors).floored
+        assert floored == (partition == "singletons")
 
 
 class TestAggregate:
@@ -372,6 +417,40 @@ class TestLouvain:
         assert sorted(sorted(c) for c in p.communities()) == [
             [0, 1, 2, 3], [4, 5, 6, 7]]
 
+    def test_floored_bootstrap_falls_back_to_the_scan(self):
+        # On two 4-cliques no single gSBM move pays the prior's cost of a
+        # pair, so the floored gDCBM bootstrap finds the cliques by the scan.
+        g = disjoint_cliques(2, 4)
+        priors = DcbmPriors()
+        sup, ids = _SuperGraph.from_graph(g), np.arange(8)
+        assert _FrozenDcbmGain(g, ids, ids, priors).floored
+        sbm = SbmPriors(gamma_exp=priors.gamma_exp)
+        _, moved, _ = _move_phase_gsbm(sup, g.edge_count, 28, sbm, make_rng(0))
+        assert not moved
+        start = objective_value(g, ids, "gdcbm", priors)
+        comm = _merge_bootstrap(g, sup, ids, "gdcbm", priors, start, make_rng(0))
+        assert sorted(sorted(c) for c in Partition.from_assignment(comm).communities()) == [
+            [0, 1, 2, 3], [4, 5, 6, 7]]
+
+    def test_floored_bootstrap_starts_from_gsbm_moves(self, monkeypatch):
+        # When the gSBM moving phase moves, its partition is the candidate
+        # and the quadratic scan never runs.
+        spec = PlantedSpec(communities=5, size=20, lambda_in=0.4, lambda_out=0.01)
+        g, _ = sample_sbm(spec, make_rng(100))
+        priors = DcbmPriors()
+        sup, ids = _SuperGraph.from_graph(g), np.arange(g.node_count)
+        sbm = SbmPriors(gamma_exp=priors.gamma_exp)
+        moves, moved, _ = _move_phase_gsbm(sup, g.edge_count, 4950, sbm, make_rng(3))
+        assert moved
+
+        def no_scan(*args):
+            raise AssertionError("the merge scan ran")
+
+        monkeypatch.setattr(global_search, "_scan_merges", no_scan)
+        start = objective_value(g, ids, "gdcbm", priors)
+        comm = _merge_bootstrap(g, sup, ids, "gdcbm", priors, start, make_rng(3))
+        assert np.array_equal(comm, moves)
+
     def test_planted_sbm_recovery(self):
         spec = PlantedSpec(communities=5, size=20, lambda_in=0.4, lambda_out=0.01)
         priors = SbmPriors()
@@ -400,10 +479,13 @@ class TestLouvain:
                 assert objective_value(g, p, objective, priors) >= start - 1e-9
 
     def test_deterministic_under_fixed_rng(self):
+        # gdcbm draws from the rng in its moving phase and in the gSBM moves
+        # that start a floored level.
         g = graph_from_edges(random_gnp(make_rng(9), 20, 0.2))
-        a = louvain(g, "gsbm", SbmPriors(), make_rng(5))
-        b = louvain(g, "gsbm", SbmPriors(), make_rng(5))
-        assert np.array_equal(a.assignment, b.assignment)
+        for objective, priors in (("gsbm", SbmPriors()), ("gdcbm", DcbmPriors())):
+            a = louvain(g, objective, priors, make_rng(5))
+            b = louvain(g, objective, priors, make_rng(5))
+            assert np.array_equal(a.assignment, b.assignment)
 
     def test_rejects_unknown_objective(self):
         g = disjoint_cliques(2, 3)
@@ -411,16 +493,18 @@ class TestLouvain:
             louvain(g, "walktrap", SbmPriors(), make_rng(0))
 
     # Louvain on a seeded 120-node planted graph, pinned with == to the
-    # assignment (one digit per node) and objective the search gave before
-    # the likelihood kernel and the prior table were rewritten. A rewrite
-    # that is not bit-identical moves a decision or the objective's last bits.
+    # assignment (one base-36 digit per node) and objective. gsbm is pinned
+    # to the search before the likelihood kernel and the prior table were
+    # rewritten; gdcbm to the search whose first level starts from the gSBM
+    # moving phase. A rewrite that is not bit-identical moves a decision or
+    # the objective's last bits.
     GOLDEN = {
         "gsbm": ("000003000000000000002232322223622426303511111511110111116111"
                  "666666666666666666667707777777777777777788888888888888888888",
                  -1552.6790032274785),
-        "gdcbm": ("000000010000100000001121111112131411232644444644440414443444"
-                  "333533333343633333366666636666666666666625555555555555555515",
-                  -1888.812409885697),
+        "gdcbm": ("121221322221a12d22235565555556755858656c99999999993999997999"
+                  "4c7044040b4707744440ccaccccccccbccccccccdedddddddddddddededd",
+                  -1834.0770968709842),
     }
 
     @pytest.mark.parametrize("objective", sorted(GOLDEN))
@@ -430,7 +514,7 @@ class TestLouvain:
         priors = SbmPriors() if objective == "gsbm" else DcbmPriors()
         p = louvain(g, objective, priors, make_rng(7))
         digits, value = self.GOLDEN[objective]
-        assert "".join(str(int(c)) for c in p.assignment) == digits
+        assert "".join(np.base_repr(c, 36).lower() for c in p.assignment) == digits
         assert objective_value(g, p, objective, priors) == value
 
     def test_max_levels_one_still_valid(self):

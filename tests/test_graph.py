@@ -248,6 +248,39 @@ class TestGraphValidation:
         with pytest.raises((ValueError, RuntimeError)):
             g.neighbors(0)[0] = 5
 
+    def test_transposed_edge_array_rejected(self):
+        # A (2, M) array of end rows would reshape into scrambled pairs: on
+        # K6, five self-loops and repeated neighbours.
+        iu, ju = np.triu_indices(6, k=1)
+        with pytest.raises(ValueError, match=r"shape \(M, 2\), got \(2, 15\)"):
+            Graph(6, np.array([iu, ju]))
+        assert Graph(6, np.column_stack((iu, ju))).edge_count == 15
+
+    @pytest.mark.parametrize("edges", [np.zeros((3, 3), dtype=int), [0, 1, 1, 2]])
+    def test_other_shapes_rejected(self, edges):
+        with pytest.raises(ValueError, match=r"shape \(M, 2\)"):
+            Graph(4, edges)
+
+    @pytest.mark.parametrize("edges", [[], np.array([]), np.empty((0, 2), dtype=int)])
+    def test_empty_edges_accepted(self, edges):
+        g = Graph(3, edges)
+        assert g.edge_count == 0
+        assert list(g.degrees) == [0, 0, 0]
+
+    @pytest.mark.parametrize("edge", [(0, 3), (-1, 2)])
+    def test_node_id_out_of_range_rejected(self, edge):
+        with pytest.raises(ValueError, match=r"names a node outside \[0, 3\)"):
+            Graph(3, [(0, 1), edge])
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match=r"\(2, 2\) is a self-loop"):
+            Graph(3, [(0, 1), (2, 2)])
+
+    @pytest.mark.parametrize("repeat", [(0, 2), (2, 0)])
+    def test_duplicate_pair_rejected(self, repeat):
+        with pytest.raises(ValueError, match=r"\(0, 2\) appears twice"):
+            Graph(3, [(0, 2), (1, 2), repeat])
+
 
 class TestCsr:
     def test_from_edges_matches_adjacency_lists(self):
