@@ -4,20 +4,19 @@ posterior (gSBM) or the degree-corrected variational bound (gDCBM).
 Two phases alternate: local moving and aggregation into a community graph
 (a scipy CSR matrix of edge counts; each aggregation is one sparse product).
 Both objectives share one moving sweep (each node greedily joins the
-neighboring community, or a fresh singleton, with the best objective gain)
-and one greedy merge scan, whose merges resolve as connected components;
-they differ only in a small per-model gain that prices a move or a merge.
-The gSBM gain is exact, from the within-edge and within-pair totals. The
-gDCBM gain holds the variational surrogate fixed; it is refitted between
-sweeps, and a sweep whose refitted objective went down is rolled back.
-Each refit prepares its partition's invariants once for all of its VB sweeps.
+neighboring community, or a fresh singleton, with the best objective gain);
+they differ only in a small per-model gain that prices a move. The gSBM
+gain is exact, from the within-edge and within-pair totals. The gDCBM gain
+holds the variational surrogate fixed; it is refitted between sweeps, and
+a sweep whose refitted objective went down is rolled back. Each refit
+prepares its partition's invariants once for all of its VB sweeps.
 
-A level whose moving phase stalls tries a coarser partition. Where the
-gDCBM bound is floored (no within-community edges, as at the all-singletons
-start), the gSBM moving phase proposes it, and only when no node moves
-there does the merge scan run, priced by the SBM gain; elsewhere the scan
-runs with the level's own gain. The candidate is adopted only if its true
-objective is higher.
+A level whose moving phase stalls tries a coarser partition, proposed for
+both objectives through the scale-free SBM contrast: gSBM runs a greedy
+merge scan (its merges resolve as connected components) priced by its own
+gain; gDCBM runs the gSBM moving phase, and the SBM-priced scan only when
+no node moves there. The candidate is adopted only if its true objective
+is higher.
 """
 
 import math
@@ -41,7 +40,7 @@ def _lambda_moments(block, priors):
 
     A bucket with no observed edges has its posterior shape clamped at the
     floor, where psi(shape) is a huge negative number that would dominate
-    every frozen move or merge delta. Rating such blocks at the prior mean instead
+    every frozen move delta. Rating such blocks at the prior mean instead
     mirrors the prior-mean initialization of the local fit.
     """
     if block.shape <= SHAPE_FLOOR:
@@ -95,13 +94,13 @@ def objective_value(graph, partition, objective, priors):
     sweeps) plus the partition prior.
     """
     assignment = partition.assignment if isinstance(partition, Partition) else partition
-    part = Partition.from_assignment(assignment)
-    prior = log_partition_prior([int(s) for s in part.sizes], priors.gamma_exp)
+    labels = dense_labels(assignment, graph.node_count)
+    prior = log_partition_prior(np.bincount(labels).tolist(), priors.gamma_exp)
     if objective == "gsbm":
-        counts = exact_edge_counts(graph, part.assignment)
+        counts = exact_edge_counts(graph, labels)
         return sbm_log_likelihood(counts, priors) + prior
     if objective == "gdcbm":
-        _, bound = _converge_vb(graph, part.assignment, priors)
+        _, bound = _converge_vb(graph, labels, priors)
         return bound + prior
     raise ValueError(f"unknown objective {objective!r}; expected 'gsbm' or 'gdcbm'")
 
@@ -215,11 +214,10 @@ class _SbmGain:
 
 
 class _FrozenDcbmGain:
-    """gDCBM bound change of a move or a merge under a frozen surrogate.
+    """gDCBM bound change of a single-node move under a frozen surrogate.
 
     Fits the surrogate on the partition comm[orig_to_super]; bound is the
-    fitted bound and floored says whether the within-rate shape sits at
-    SHAPE_FLOOR. With the factors frozen, the bound gains d_log per
+    fitted bound. With the factors frozen, the bound gains d_log per
     within-community edge and loses d_mean per unit of within-community
     sum of E[d_i] E[d_j], tracked through per-super-node and per-community
     sums of E[d] and E[d]^2.
@@ -227,7 +225,6 @@ class _FrozenDcbmGain:
 
     def __init__(self, graph, orig_to_super, comm, priors):
         state, self.bound = _converge_vb(graph, comm[orig_to_super], priors)
-        self.floored = state.lambda_in.shape <= SHAPE_FLOOR
         mean_in, log_in = _lambda_moments(state.lambda_in, priors)
         mean_out, log_out = _lambda_moments(state.lambda_out, priors)
         self.d_log, self.d_mean = log_in - log_out, mean_in - mean_out
@@ -252,14 +249,6 @@ class _FrozenDcbmGain:
         self.c_q[a] -= self.q_u[u]
         self.c_s[b] = self.c_s.get(b, 0.0) + self.s_u[u]
         self.c_q[b] = self.c_q.get(b, 0.0) + self.q_u[u]
-
-    def merge(self, a, b, e_ab, s_a, s_b):
-        """Change when communities a and b, joined by e_ab edges, merge."""
-        return e_ab * self.d_log - self.d_mean * self.c_s[a] * self.c_s[b]
-
-    def apply_merge(self, a, b, e_ab, s_a, s_b):
-        self.c_s[a] += self.c_s.pop(b)
-        self.c_q[a] += self.c_q.pop(b)
 
 
 def _neighbor_comm_weights(sup, comm, u):
@@ -422,28 +411,23 @@ def _resolve_merges(n, ops):
 def _merge_bootstrap(graph, sup, orig_to_super, objective, priors, cur, rng):
     """Escape a stalled moving phase by adopting a better coarser partition.
 
-    Merges are priced by the objective's gain: exact SBM posterior changes
-    for gsbm, and frozen variational-surrogate changes for gdcbm. When the
-    gdcbm bound is degenerate because the partition has no within-community
-    edges at all (the clamped rate shape poisons every surrogate delta), the
-    plain SBM (default Beta priors) stands in: the rate/degree gauge makes
-    the empty bucket incomparable with the fitted one, while the SBM
-    contrast is scale-free. Its moving phase, drawing from rng, proposes the
-    candidate; only when no node moves does the greedy merge scan, priced by
-    the SBM gain, look for one (single moves cannot pay the prior's cost of
-    a pair on small dense graphs). Either way adoption happens only when the
-    true objective of the candidate beats cur, the objective of the current
-    partition.
+    Both objectives propose through the SBM contrast. For gsbm the greedy
+    merge scan, priced by the level's exact gain, proposes the candidate.
+    For gdcbm the gSBM moving phase under default Beta priors, drawing from
+    rng, proposes it: the SBM contrast is scale-free, while a surrogate
+    frozen at the stalled partition is not. Only when no node moves there
+    does the scan, priced by that SBM gain, look for one (single moves
+    cannot pay the prior's cost of a pair on small dense graphs). Either way
+    the candidate is adopted only when its true objective beats cur, the
+    objective of the current partition.
     """
     m, total_pairs = graph.edge_count, _pairs(graph.node_count)
     if objective == "gsbm":
         gain = _SbmGain(sup, m, total_pairs, priors)
     else:
-        gain = _FrozenDcbmGain(graph, orig_to_super, np.arange(sup.n), priors)
-        if gain.floored:
-            sbm = SbmPriors(gamma_exp=priors.gamma_exp)
-            comm, moved, _ = _move_phase_gsbm(sup, m, total_pairs, sbm, rng)
-            gain = None if moved else _SbmGain(sup, m, total_pairs, sbm)
+        sbm = SbmPriors(gamma_exp=priors.gamma_exp)
+        comm, moved, _ = _move_phase_gsbm(sup, m, total_pairs, sbm, rng)
+        gain = None if moved else _SbmGain(sup, m, total_pairs, sbm)
     if gain is not None:
         ops = _scan_merges(sup, gain, _PriorTracker(priors.gamma_exp, sup.size))
         if ops is None:
@@ -462,13 +446,13 @@ def louvain(graph, objective, priors, rng, max_levels=10):
     shared moving sweep with the objective's gain (gSBM: exact, until no node
     moves; gDCBM: frozen surrogate, refitted between sweeps). When a level's
     moving phase finds no improving single move, _merge_bootstrap looks for
-    a coarser partition with a strictly better objective before giving up:
-    a greedy merge scan priced by the same gain (single moves cannot cross
-    the prior's fixed merge cost on small dense graphs), except where the
-    gDCBM bound is floored, where the gSBM moving phase, drawing from rng,
-    proposes it first and the SBM-priced scan runs only if no node moved.
-    Stops when neither phase improves, the graph collapses to one community,
-    or max_levels is reached.
+    a coarser partition with a strictly better objective before giving up.
+    It proposes through the SBM contrast: for gSBM a greedy merge scan priced
+    by the same gain (single moves cannot cross the prior's fixed merge cost
+    on small dense graphs); for gDCBM the gSBM moving phase, drawing from
+    rng, and the SBM-priced scan only if no node moved. Stops when neither
+    phase improves, the graph collapses to one community, or max_levels is
+    reached.
     """
     if objective not in ("gsbm", "gdcbm"):
         raise ValueError(f"unknown objective {objective!r}; expected 'gsbm' or 'gdcbm'")

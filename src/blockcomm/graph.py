@@ -113,11 +113,14 @@ def dense_labels(partition, node_count):
     follow the sorted order of the labels.
 
     Raises:
-        ValueError: naming the first node without a label.
+        ValueError: naming the shape of a partition that is not 1-D or is
+            longer than node_count, or the first node without a label.
     """
     if isinstance(partition, dict):
         partition = [partition.get(i) for i in range(node_count)]
-    labels = np.asarray(partition)[:node_count]
+    labels = np.asarray(partition)
+    if labels.ndim != 1 or len(labels) > node_count:
+        raise ValueError(f"partition has shape {labels.shape}; expected ({node_count},)")
     covered = len(labels)
     if labels.dtype == object:
         covered = next((i for i, c in enumerate(labels) if c is None), covered)

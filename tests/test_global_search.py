@@ -86,6 +86,19 @@ class TestObjectiveValue:
         with pytest.raises(ValueError, match="objective"):
             objective_value(g, np.zeros(6, dtype=int), "modularity", SbmPriors())
 
+    @pytest.mark.parametrize("objective, priors", [("gsbm", SbmPriors()),
+                                                   ("gdcbm", DcbmPriors())])
+    @pytest.mark.parametrize("partition", [[0, 0, 1, 1, 7, 7, 7],
+                                           np.zeros((2, 2), dtype=int)],
+                             ids=["longer-than-graph", "2-D"])
+    def test_rejects_a_partition_of_another_shape(self, objective, priors, partition):
+        # Relabelled against len(partition), the first would score the
+        # graph's 4 nodes plus a phantom community of 3.
+        g = Graph(4, [(0, 1), (2, 3)])
+        shape = r"\(7,\)" if len(partition) == 7 else r"\(2, 2\)"
+        with pytest.raises(ValueError, match=rf"partition has shape {shape}; expected \(4,\)"):
+            objective_value(g, partition, objective, priors)
+
     def test_accepts_partition_or_assignment(self):
         g = disjoint_cliques(2, 3)
         a = np.array([0, 0, 0, 1, 1, 1])
@@ -195,8 +208,6 @@ class TestConvergeVb:
         assert state.lambda_in == ref_state.lambda_in
         assert state.lambda_out == ref_state.lambda_out
         assert state.clamped == ref_state.clamped
-        floored = _FrozenDcbmGain(g, np.arange(g.node_count), labels, priors).floored
-        assert floored == (partition == "singletons")
 
 
 class TestAggregate:
@@ -263,8 +274,9 @@ class TestResolveMerges:
 
 
 class TestGains:
-    # Each model's gain prices a single-node move and a community merge for
-    # both the moving sweep and the merge scan. Walk random moves and merges
+    # Each model's gain prices the steps its callers take: the SBM gain a
+    # single-node move (moving sweep) and a community merge (merge scan),
+    # the frozen gDCBM gain a move only. Walk random steps of those kinds
     # over random super-nodes of one random graph and compare every priced
     # change with the from-scratch change of the objective it stands for.
 
@@ -278,7 +290,7 @@ class TestGains:
     def labels(self, comm):
         return comm[self.orig_to_super]
 
-    def walk(self, gain, value, steps=40):
+    def walk(self, gain, value, kinds, steps=40):
         sup, rng = self.sup, self.rng
         comm = np.arange(sup.n, dtype=np.int64)
 
@@ -291,7 +303,7 @@ class TestGains:
         checked = 0
         for step in range(steps):
             new = comm.copy()
-            if step % 2 == 0:
+            if kinds[step % len(kinds)] == "move":
                 u = int(rng.integers(sup.n))
                 a, b = int(comm[u]), int(rng.integers(sup.n + 1))
                 if b == a:
@@ -325,7 +337,7 @@ class TestGains:
 
         gain = _SbmGain(self.sup, g.edge_count, g.node_count * (g.node_count - 1) // 2,
                         priors)
-        self.walk(gain, likelihood)
+        self.walk(gain, likelihood, ("move", "merge"))
 
     def test_frozen_dcbm_gain_matches_frozen_surrogate(self):
         g, priors = self.graph, DcbmPriors()
@@ -339,7 +351,7 @@ class TestGains:
             same_pairs, _ = _pair_sums(labels, e_d)
             return g.within_edges(labels) * gain.d_log - gain.d_mean * same_pairs
 
-        self.walk(gain, surrogate)
+        self.walk(gain, surrogate, ("move",))
 
 
 class TestPriorTracker:
@@ -417,13 +429,12 @@ class TestLouvain:
         assert sorted(sorted(c) for c in p.communities()) == [
             [0, 1, 2, 3], [4, 5, 6, 7]]
 
-    def test_floored_bootstrap_falls_back_to_the_scan(self):
+    def test_gdcbm_bootstrap_falls_back_to_the_scan(self):
         # On two 4-cliques no single gSBM move pays the prior's cost of a
-        # pair, so the floored gDCBM bootstrap finds the cliques by the scan.
+        # pair, so the gDCBM bootstrap finds the cliques by the SBM scan.
         g = disjoint_cliques(2, 4)
         priors = DcbmPriors()
         sup, ids = _SuperGraph.from_graph(g), np.arange(8)
-        assert _FrozenDcbmGain(g, ids, ids, priors).floored
         sbm = SbmPriors(gamma_exp=priors.gamma_exp)
         _, moved, _ = _move_phase_gsbm(sup, g.edge_count, 28, sbm, make_rng(0))
         assert not moved
@@ -432,13 +443,18 @@ class TestLouvain:
         assert sorted(sorted(c) for c in Partition.from_assignment(comm).communities()) == [
             [0, 1, 2, 3], [4, 5, 6, 7]]
 
-    def test_floored_bootstrap_starts_from_gsbm_moves(self, monkeypatch):
+    @pytest.mark.parametrize("level", ["singletons", "pairs"])
+    def test_gdcbm_bootstrap_starts_from_gsbm_moves(self, level, monkeypatch):
         # When the gSBM moving phase moves, its partition is the candidate
-        # and the quadratic scan never runs.
+        # and the quadratic scan never runs, at the all-singletons start as
+        # at a level whose super-nodes already hold within-community edges.
         spec = PlantedSpec(communities=5, size=20, lambda_in=0.4, lambda_out=0.01)
         g, _ = sample_sbm(spec, make_rng(100))
         priors = DcbmPriors()
         sup, ids = _SuperGraph.from_graph(g), np.arange(g.node_count)
+        if level == "pairs":  # nodes 2k and 2k+1 share a planted community
+            sup, ids = _aggregate(sup, ids // 2)
+            assert sum(sup.internal) > 0
         sbm = SbmPriors(gamma_exp=priors.gamma_exp)
         moves, moved, _ = _move_phase_gsbm(sup, g.edge_count, 4950, sbm, make_rng(3))
         assert moved
@@ -450,6 +466,24 @@ class TestLouvain:
         start = objective_value(g, ids, "gdcbm", priors)
         comm = _merge_bootstrap(g, sup, ids, "gdcbm", priors, start, make_rng(3))
         assert np.array_equal(comm, moves)
+
+    @pytest.mark.parametrize("graph, fits", [
+        (disjoint_cliques(2, 4), 1),                    # the scan's candidate
+        (graph_from_edges(clique_edges(range(5))), 0),  # no candidate
+    ], ids=["two-4-cliques", "K5"])
+    def test_gdcbm_bootstrap_fits_only_its_candidate(self, graph, fits, monkeypatch):
+        priors = DcbmPriors()
+        sup, ids = _SuperGraph.from_graph(graph), np.arange(graph.node_count)
+        start = objective_value(graph, ids, "gdcbm", priors)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _converge_vb(*args, **kwargs)
+
+        monkeypatch.setattr(global_search, "_converge_vb", counted)
+        _merge_bootstrap(graph, sup, ids, "gdcbm", priors, start, make_rng(0))
+        assert len(calls) == fits
 
     def test_planted_sbm_recovery(self):
         spec = PlantedSpec(communities=5, size=20, lambda_in=0.4, lambda_out=0.01)
@@ -466,6 +500,16 @@ class TestLouvain:
         p = louvain(g, "gdcbm", DcbmPriors(), make_rng(1))
         assert partition_f1(truth, p.communities()) >= 0.9
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gdcbm_recovery_under_a_sharper_prior(self, seed):
+        # The golden graph under alpha = 2: a stalled level that already
+        # holds within-community edges must still coarsen through the SBM
+        # contrast, not stop at about 30 fragments of the 6 planted blocks.
+        spec = PlantedSpec(communities=6, size=20, lambda_in=0.3, lambda_out=0.03)
+        g, truth = sample_sbm(spec, make_rng(120))
+        p = louvain(g, "gdcbm", DcbmPriors(alpha=2.0), make_rng(seed))
+        assert partition_f1(truth, p.communities()) >= 0.85
+
     def test_objective_never_below_start(self):
         # The level sequence only ever adopts improvements, so the final
         # partition cannot score below the all-singleton start.
@@ -480,7 +524,7 @@ class TestLouvain:
 
     def test_deterministic_under_fixed_rng(self):
         # gdcbm draws from the rng in its moving phase and in the gSBM moves
-        # that start a floored level.
+        # that propose a coarser partition when a level stalls.
         g = graph_from_edges(random_gnp(make_rng(9), 20, 0.2))
         for objective, priors in (("gsbm", SbmPriors()), ("gdcbm", DcbmPriors())):
             a = louvain(g, objective, priors, make_rng(5))
@@ -495,16 +539,16 @@ class TestLouvain:
     # Louvain on a seeded 120-node planted graph, pinned with == to the
     # assignment (one base-36 digit per node) and objective. gsbm is pinned
     # to the search before the likelihood kernel and the prior table were
-    # rewritten; gdcbm to the search whose first level starts from the gSBM
-    # moving phase. A rewrite that is not bit-identical moves a decision or
-    # the objective's last bits.
+    # rewritten; gdcbm to the search whose stalled levels all propose
+    # through the gSBM moving phase. A rewrite that is not bit-identical
+    # moves a decision or the objective's last bits.
     GOLDEN = {
         "gsbm": ("000003000000000000002232322223622426303511111511110111116111"
                  "666666666666666666667707777777777777777788888888888888888888",
                  -1552.6790032274785),
-        "gdcbm": ("121221322221a12d22235565555556755858656c99999999993999997999"
-                  "4c7044040b4707744440ccaccccccccbccccccccdedddddddddddddededd",
-                  -1834.0770968709842),
+        "gdcbm": ("111111111111011711113343333334233434434655555555551555552555"
+                  "262222222622222222226606666666666666666677777777777777777777",
+                  -1828.9540986533282),
     }
 
     @pytest.mark.parametrize("objective", sorted(GOLDEN))

@@ -11,6 +11,7 @@ from blockcomm.graph import (
     Graph,
     add_node_delta,
     community_stats,
+    dense_labels,
     load_communities,
     load_edge_list,
     write_communities,
@@ -304,3 +305,20 @@ class TestCsr:
             ref = sum(1 for i in range(g.node_count) for j in g.neighbors(i)
                       if i < j and labels[i] == labels[j])
             assert g.within_edges(labels) == ref
+
+
+class TestDenseLabels:
+    def test_uncovered_node_named(self):
+        with pytest.raises(ValueError, match="does not cover node 2"):
+            dense_labels([0, 0], 3)
+        with pytest.raises(ValueError, match="does not cover node 1"):
+            dense_labels({0: 0, 2: 1}, 3)
+
+    @pytest.mark.parametrize("partition, shape", [
+        ([0, 0, 1, 1, 7, 7, 7], r"\(7,\)"),      # longer than the graph
+        (np.zeros((2, 2), dtype=int), r"\(2, 2\)"),  # not 1-D
+        (3, r"\(\)"),
+    ], ids=["longer-than-graph", "2-D", "scalar"])
+    def test_misshapen_partition_names_its_shape(self, partition, shape):
+        with pytest.raises(ValueError, match=rf"partition has shape {shape}; expected \(4,\)"):
+            dense_labels(partition, 4)
