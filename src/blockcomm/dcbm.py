@@ -6,7 +6,10 @@ intractable, so inference maximizes a variational lower bound built from a
 fully factorized Gamma surrogate. The local score evaluates the same bound
 under the uniformity assumption that the graph is tiled by k = 2M/v copies
 of the candidate community, which collapses the per-node parameters to one
-shared scale theta_d with a quadratic fixed-point equation.
+shared scale theta_d. With conjugate shapes and both rate factors at their
+optimum the bound depends on theta_d alone; its maximiser is the unique
+root of a rational function F (the bound's slope in log theta_d), found by
+bracketed Newton steps, and the score is the bound there.
 """
 
 import math
@@ -18,8 +21,9 @@ from scipy.special import psi
 from .distributions import GammaParams, gamma_kl, gamma_kl_shape_terms, gamma_kl_terms
 from .graph import dense_labels
 
-# Gamma shapes hit alpha - 1 + count = 0 for edgeless candidates under the
-# uninformative prior; a tiny positive floor keeps them scorable.
+# The global surrogate's Gamma shapes alpha - 1 + count hit 0 for edgeless
+# buckets under the uninformative prior; a tiny positive floor keeps them
+# scorable. The local fit's conjugate shapes alpha + count never reach it.
 SHAPE_FLOOR = 1e-9
 
 
@@ -58,7 +62,13 @@ class VariationalState:
 
 @dataclass(frozen=True)
 class LocalDcbmState:
-    """Converged parameters of the local (uniformity-assumption) fit."""
+    """The local fit at its bound's maximum.
+
+    theta_d is the shared degree scale, the root of the bound's slope;
+    lambda_in/lambda_out are the rate factors at their optimum given it.
+    iterations counts the root's Newton or bisection steps, and converged
+    is False only when the step cap stopped it first.
+    """
 
     v_hat: float
     m_hat: float
@@ -68,7 +78,6 @@ class LocalDcbmState:
     lambda_out: GammaParams
     k: float
     degenerate: bool = False
-    clamped: bool = False
     converged: bool = True
     iterations: int = 0
 
@@ -208,7 +217,7 @@ def vb_bound(graph, partition, state, priors):
 
 
 def solve_theta_d(v_hat, m_hat, mean_lambda_in, mean_lambda_out, theta):
-    """Shared degree scale of the local fit.
+    """Degree scale that maximizes the bound for fixed rate means.
 
     Solves the fixed point theta_d = 1 / (1/theta + theta_d * c) with
     c = mean_lambda_in * v_hat + mean_lambda_out * (m_hat - v_hat), i.e. the
@@ -216,27 +225,69 @@ def solve_theta_d(v_hat, m_hat, mean_lambda_in, mean_lambda_out, theta):
     cancellation-free form 2 / (1/theta + sqrt(1/theta^2 + 4c)).
     """
     c = mean_lambda_in * v_hat + mean_lambda_out * (m_hat - v_hat)
-    return _theta_d_root(c, theta, 1.0 / theta)
-
-
-def _theta_d_root(c, theta, inv_t):
-    """Positive root of c x^2 + x/theta - 1 = 0, given inv_t = 1/theta."""
     if c == 0.0:
         return theta
+    inv_t = 1.0 / theta
     return 2.0 / (inv_t + math.sqrt(inv_t * inv_t + 4.0 * c))
 
 
-def adcbm_local_fit(stats, N, M, priors, max_iter=50, tol=1e-10):
-    """Fit the collapsed surrogate parameters for one candidate community.
+# The root of the bound's slope: steps allowed, and the relative step that
+# ends them.
+ROOT_MAX_STEPS = 100
+ROOT_RTOL = 1e-12
 
-    Alternates the theta_d root with the two rate-factor updates until the
-    relative change of (theta_d, E[lambda_in], E[lambda_out]) drops below
-    tol. Deterministic: always initialized at the prior means.
+
+def _slope_root(m_hat, a_in, p_in, a_out, p_out, theta):
+    """Root on (0, theta] of the local bound's slope in log theta_d.
+
+    F(t) = m_hat (1 - t/theta) - sum_r a_r P_r t^2 / (1/theta + P_r t^2 / 2)
+    falls strictly from m_hat > 0 at 0+ to F(theta) <= 0. Newton steps start
+    at the saturation point, where every rate term reaches its ceiling 2 a_r
+    (F is positive there, so it is a lower bracket), and a step that leaves
+    the bracket bisects it instead.
+
+    Returns:
+        (root, steps, converged).
+    """
+    inv_t = 1.0 / theta
+    lo, hi = 0.0, theta
+    t = theta * (m_hat - 2.0 * (a_in + a_out)) / m_hat
+    if not 0.0 < t < theta:
+        t = 0.5 * theta
+    for steps in range(1, ROOT_MAX_STEPS + 1):
+        t2 = t * t
+        d_in = inv_t + p_in * t2 / 2.0
+        d_out = inv_t + p_out * t2 / 2.0
+        f = m_hat * (1.0 - t * inv_t) - a_in * p_in * t2 / d_in - a_out * p_out * t2 / d_out
+        if f > 0.0:
+            lo = t
+        else:
+            hi = t
+        slope = -inv_t * (m_hat + 2.0 * t * (a_in * p_in / (d_in * d_in)
+                                             + a_out * p_out / (d_out * d_out)))
+        new = t - f / slope
+        if not lo < new <= hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - t) <= ROOT_RTOL * new:
+            return new, steps, True
+        t = new
+    return t, ROOT_MAX_STEPS, False
+
+
+def adcbm_local_fit(stats, N, M, priors):
+    """Fit the collapsed surrogate for one candidate community at its maximum.
+
+    Conjugate shapes alpha + count: v_hat = v + n alpha, m_hat = 2M + N alpha
+    and k_hat_sq = sum of (alpha + deg)^2 over the members; the rate shapes
+    are alpha + k w and alpha + M - k w, with k = 2M / v. With both rate
+    factors at their optimum the bound depends on theta_d alone, and its
+    maximiser is the unique root of its slope (_slope_root). No shape can
+    reach zero, so an edgeless candidate, a bare seed included, scores
+    finitely; the greedy search's first-step fallback leans on that.
 
     Returns:
         LocalDcbmState; degenerate is set when the community is inconsistent
-        with the uniform tiling (k < 1 or m_hat^2 < k v_hat^2, or zero
-        volume), clamped when an edgeless community floored a shape.
+        with the uniform tiling (zero volume, k < 1 or m_hat^2 < k v_hat^2).
 
     Raises:
         ValueError: if M < w or v > 2M (inconsistent totals).
@@ -247,97 +298,57 @@ def adcbm_local_fit(stats, N, M, priors, max_iter=50, tol=1e-10):
         raise ValueError(f"total edge count {M} is below the community's {w}")
     if v > 2 * M:
         raise ValueError(f"community volume {v} exceeds twice the edge count {M}")
-    prior_mean = alpha * theta
-    if v <= 0:
-        return LocalDcbmState(0.0, 2.0 * M + N * (alpha - 1.0), stats.sumsq_alpha_d,
-                              theta, GammaParams(SHAPE_FLOOR, theta),
-                              GammaParams(SHAPE_FLOOR, theta), 0.0,
-                              degenerate=True, clamped=True)
-    k = 2.0 * M / v
-    v_hat = v + n * (alpha - 1.0)
-    m_hat = 2.0 * M + N * (alpha - 1.0)
+    k = 2.0 * M / v if v > 0 else 0.0
+    v_hat = v + n * alpha
+    m_hat = 2.0 * M + N * alpha
     k_sq = stats.sumsq_alpha_d
-
-    ai, c1 = _clamp_shape(alpha - 1.0 + k * w)
-    ab, c2 = _clamp_shape(alpha - 1.0 + (M - k * w))
-    clamped = c1 or c2
-    degenerate = k < 1.0 or m_hat * m_hat < k * v_hat * v_hat
-    if degenerate:
-        return LocalDcbmState(v_hat, m_hat, k_sq, theta,
-                              GammaParams(ai, theta), GammaParams(ab, theta), k,
-                              degenerate=True, clamped=clamped)
-
-    # Loop invariants, each grouped exactly as the update formulas evaluate
-    # them, so the iterates are the same to the bit as without hoisting.
-    inv_theta = 1.0 / theta
-    pairs_in = k * (v_hat * v_hat - k_sq)
-    pairs_out = m_hat * m_hat - k * v_hat * v_hat
-    v_out = m_hat - v_hat
-    e_in = prior_mean
-    e_out = prior_mean
-    theta_d = theta
-    theta_i = theta
-    theta_b = theta
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        theta_d_new = _theta_d_root(e_in * v_hat + e_out * v_out, theta, inv_theta)
-        td2 = theta_d_new * theta_d_new
-        theta_i = 1.0 / (inv_theta + pairs_in * td2 / 2.0)
-        theta_b = 1.0 / (inv_theta + pairs_out * td2 / 2.0)
-        e_in_new = ai * theta_i
-        e_out_new = ab * theta_b
-        done = (abs(theta_d_new - theta_d) / max(theta_d, 1e-300) < tol
-                and abs(e_in_new - e_in) / max(e_in, 1e-300) < tol
-                and abs(e_out_new - e_out) / max(e_out, 1e-300) < tol)
-        theta_d, e_in, e_out = theta_d_new, e_in_new, e_out_new
-        if done:
-            converged = True
-            break
-    return LocalDcbmState(v_hat, m_hat, k_sq, theta_d,
-                          GammaParams(ai, theta_i), GammaParams(ab, theta_b), k,
-                          degenerate=False, clamped=clamped,
-                          converged=converged, iterations=iterations)
+    p_in = k * (v_hat * v_hat - k_sq)
+    p_out = m_hat * m_hat - k * v_hat * v_hat
+    if v <= 0 or k < 1.0 or p_out < 0.0:
+        prior = GammaParams(alpha, theta)
+        return LocalDcbmState(v_hat, m_hat, k_sq, theta, prior, prior, k, degenerate=True)
+    a_in = alpha + k * w
+    a_out = alpha + (M - k * w)
+    td, steps, converged = _slope_root(m_hat, a_in, p_in, a_out, p_out, theta)
+    td2 = td * td
+    inv_t = 1.0 / theta
+    return LocalDcbmState(v_hat, m_hat, k_sq, td,
+                          GammaParams(a_in, 1.0 / (inv_t + p_in * td2 / 2.0)),
+                          GammaParams(a_out, 1.0 / (inv_t + p_out * td2 / 2.0)), k,
+                          converged=converged, iterations=steps)
 
 
-def local_bound_value(stats, state, N, M, priors):
+def local_bound_value(state, priors):
     """The collapsed variational bound at a fitted LocalDcbmState.
 
-    Omits the additive constant that depends only on the graph's degrees and
-    the priors, so values are comparable across communities of one graph.
+    With each rate factor at its optimum Gamma(a_r, s_r) given theta_d, the
+    bound is m_hat (ln theta_d - theta_d/theta) + sum_r [lgamma(a_r) +
+    a_r ln s_r] - 2 (lgamma(alpha) + alpha ln theta). Omits the additive
+    constant that depends only on the graph's degrees and the priors, so
+    values are comparable across communities of one graph.
     """
     alpha, theta = priors.alpha, priors.theta
-    k, w = state.k, stats.w
-    v_hat, m_hat, k_sq = state.v_hat, state.m_hat, state.k_hat_sq
     td = state.theta_d
-    td2 = td * td
     lam_i, lam_b = state.lambda_in, state.lambda_out
-    prior = GammaParams(alpha, theta)
-    return (
-        2.0 * M * math.log(td)
-        + k * w * lam_i.mean_log
-        + (M - k * w) * lam_b.mean_log
-        - k * ((v_hat * v_hat - k_sq) / 2.0) * td2 * lam_i.mean
-        - ((m_hat * m_hat - k * v_hat * v_hat) / 2.0) * td2 * lam_b.mean
-        + N * alpha * math.log(td)
-        - m_hat * td / theta
-        - gamma_kl(lam_i, prior)
-        - gamma_kl(lam_b, prior)
-    )
+    return (state.m_hat * (math.log(td) - td / theta)
+            + math.lgamma(lam_i.shape) + lam_i.shape * math.log(lam_i.scale)
+            + math.lgamma(lam_b.shape) + lam_b.shape * math.log(lam_b.scale)
+            - 2.0 * (math.lgamma(alpha) + alpha * math.log(theta)))
 
 
-def adcbm_log_score(stats, N, M, priors, max_iter=50, tol=1e-10):
-    """Local DCBM log score: collapsed bound plus the partition-prior part.
+def adcbm_log_score(stats, N, M, priors):
+    """Local DCBM log score: the bound's maximum plus the partition-prior part.
 
-    Degenerate fits score -inf; edgeless candidates are scorable (their
-    rate shapes sit at the clamp floor) so a search can leave a singleton.
+    Degenerate fits score -inf. Every other candidate, edgeless ones and the
+    bare seed included, scores finitely, so a search can weigh the seed
+    against its first additions (see local_search's first-step fallback).
     """
-    state = adcbm_local_fit(stats, N, M, priors, max_iter=max_iter, tol=tol)
+    state = adcbm_local_fit(stats, N, M, priors)
     if state.degenerate:
         return float("-inf")
     g = priors.gamma_exp
     prior_part = state.k * math.log(g - 1.0) - state.k * g * math.log(stats.n)
-    return local_bound_value(stats, state, N, M, priors) + prior_part
+    return local_bound_value(state, priors) + prior_part
 
 
 def formal_n_totals(graph, formal_N):

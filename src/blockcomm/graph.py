@@ -7,6 +7,7 @@ sit back to back in one read-only array (compressed sparse row), so counts
 over a whole partition are single numpy expressions.
 """
 
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -134,8 +135,9 @@ class CommunityStats:
     """Sufficient statistics of one candidate community.
 
     n: node count; w: within edges (counted once); v: volume (degree sum);
-    sumsq_alpha_d: sum over members of (alpha - 1 + deg)^2 for the Gamma
-    shape alpha the stats were computed with.
+    sumsq_alpha_d: sum over members of (alpha + deg)^2, the squared
+    conjugate degree shapes under the Gamma shape alpha the stats were
+    computed with.
     """
 
     n: int
@@ -152,6 +154,12 @@ def load_edge_list(stream):
     (either orientation) and self-loops are dropped; their counts end up on
     the returned Graph and trigger one summary warning.
 
+    The lines are parsed in bulk by numpy when they are ASCII, hold no
+    comment after an edge, and every id fits in int64; anything else (and
+    every malformed line) goes through the per-line parser, which accepts
+    what int() accepts and names the first bad line. Both give the same
+    Graph for any input both accept.
+
     Args:
         stream: iterable of text lines (open file, list of strings, ...).
 
@@ -161,9 +169,78 @@ def load_edge_list(stream):
     Raises:
         ValueError: on a malformed line (with its line number) or empty input.
     """
+    lines = list(stream)
+    ids = _bulk_ids(lines)
+    if ids is None:
+        ends, external_ids = _parse_lines(lines)
+    else:
+        del lines  # free the temporaries before the graph is built
+        ends, external_ids = _first_appearance_labels(ids)
+        del ids
+    n = len(external_ids)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    keys = (lo * n + hi)[lo != hi]
+    loops = len(ends) - len(keys)
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    dup = len(ends) - loops - len(keys)
+    if dup or loops:
+        warnings.warn(f"dropped {dup} duplicate edge(s) and {loops} self-loop(s)")
+    return Graph(n, np.column_stack((keys // n, keys % n)), external_ids=external_ids,
+                 dropped_duplicates=dup, dropped_self_loops=loops)
+
+
+# A line with something other than whitespace before its first '#': the
+# per-line parser reads the '#' as a field, numpy as the start of a comment.
+_INLINE_COMMENT = re.compile(r"^[^\S\n]*[^\s#][^\n#]*#", re.M)
+
+
+def _bulk_ids(lines):
+    """The (M, 2) int64 external ids of lines via np.loadtxt, or None.
+
+    None when the lines are not ASCII, carry an inline comment, or numpy
+    rejects them (a bad token, an id beyond int64, a ragged or empty file),
+    or when they do not hold exactly two columns.
+    """
+    text = "\n".join(lines)
+    if not text.isascii() or ("#" in text and _INLINE_COMMENT.search(text)):
+        return None
+    del text
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a file without data
+            ids = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
+    except ValueError:
+        return None
+    if ids.shape[0] == 0 or ids.shape[1] != 2:
+        return None
+    return ids
+
+
+def _first_appearance_labels(ids):
+    """(dense (M, 2) ends, external ids) of an (M, 2) id array.
+
+    Dense indices follow first appearance in the order u1 v1 u2 v2 ...;
+    the external ids are Python ints.
+    """
+    uniq, first, inverse = np.unique(ids.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[order] = np.arange(len(uniq))
+    return rank[inverse].reshape(-1, 2), uniq[order].tolist()
+
+
+def _parse_lines(lines):
+    """(dense (M, 2) ends, external ids) of lines, parsed one by one.
+
+    Raises:
+        ValueError: on a malformed line (with its line number) or empty input.
+    """
     labels = {}
     ends = []
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -178,16 +255,7 @@ def load_edge_list(stream):
         ends.append(labels.setdefault(v_ext, len(labels)))
     if not ends:
         raise ValueError("empty edge list: no edges found in input")
-    n = len(labels)
-    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-    keys = np.unique((lo * n + hi)[lo != hi])
-    loops = int(np.count_nonzero(lo == hi))
-    dup = len(pairs) - loops - len(keys)
-    if dup or loops:
-        warnings.warn(f"dropped {dup} duplicate edge(s) and {loops} self-loop(s)")
-    return Graph(n, np.column_stack((keys // n, keys % n)), labels, list(labels),
-                 dropped_duplicates=dup, dropped_self_loops=loops)
+    return np.array(ends, dtype=np.int64).reshape(-1, 2), list(labels)
 
 
 def load_communities(stream, graph, min_size=3):
@@ -235,7 +303,7 @@ def write_communities(communities, graph, stream):
 
 
 def community_stats(graph, members, alpha=1.0):
-    """Sufficient statistics (n, w, v, sum of (alpha-1+deg)^2) of a node set.
+    """Sufficient statistics (n, w, v, sum of (alpha+deg)^2) of a node set.
 
     Raises:
         ValueError: on an empty member set or alpha <= 0.
@@ -252,7 +320,7 @@ def community_stats(graph, members, alpha=1.0):
     for i in member_set:
         deg = graph.degree(i)
         v += deg
-        sumsq += (alpha - 1.0 + deg) ** 2
+        sumsq += (alpha + deg) ** 2
         twice_w += len(member_set.intersection(graph.neighbors(i).tolist()))
     return CommunityStats(n=n, w=twice_w // 2, v=v, sumsq_alpha_d=sumsq)
 
@@ -269,5 +337,5 @@ def add_node_delta(stats, graph, u, links, alpha=1.0):
         n=stats.n + 1,
         w=stats.w + links,
         v=stats.v + deg,
-        sumsq_alpha_d=stats.sumsq_alpha_d + (alpha - 1.0 + deg) ** 2,
+        sumsq_alpha_d=stats.sumsq_alpha_d + (alpha + deg) ** 2,
     )

@@ -6,7 +6,10 @@ node whose addition strictly improves the score. Each frontier node carries
 its count of edges into the community, so a candidate's stats cost O(1).
 The search reads only the members' neighbor lists and the frontier's
 degrees, so its cost scales with the recovered community's volume rather
-than the graph size. Restarts from one seed, and the repeated scans of a
+than the graph size. A search stalled at the bare seed tries a few losing
+first additions before it gives up (the first-step fallback of
+greedy_expand), since a score's per-community prior can price every pair
+below the seed. Restarts from one seed, and the repeated scans of a
 frontier, offer many of the same candidates, so detect scores each
 distinct candidate once per call.
 """
@@ -61,8 +64,55 @@ class DetectionResult:
     elapsed: float = 0.0
 
 
+# Additions the first-step fallback may make from a bare seed, at a loss.
+FIRST_STEP_CAP = 4
+
+
+def _grow(graph, members, links, u):
+    """Add frontier node u to members and move its edges into links."""
+    members.add(u)
+    del links[u]
+    for x in graph.neighbors(u).tolist():
+        if x not in members:
+            links[x] += 1
+
+
+def _first_step(graph, members, links, stats, score, scorer, alpha):
+    """Leave a bare seed whose every single addition scores below it.
+
+    Adds the best-scoring frontier node (the lowest id among ties), even at
+    a loss, up to FIRST_STEP_CAP times, on copies of members and links.
+
+    Returns:
+        (members, links, stats, score) of the first prefix that scores above
+        score, or None when no prefix within the cap does.
+    """
+    members, links = set(members), Counter(links)
+    for _ in range(FIRST_STEP_CAP):
+        best = None
+        for u in sorted(links):
+            cand = add_node_delta(stats, graph, u, links[u], alpha)
+            cand_score = scorer(cand)
+            if best is None or cand_score > best[0]:
+                best = (cand_score, u, cand)
+        if best is None:
+            return None
+        cand_score, u, stats = best
+        _grow(graph, members, links, u)
+        if cand_score > score:
+            return members, links, stats, cand_score
+    return None
+
+
 def greedy_expand(graph, seed, scorer, rng, alpha=1.0, max_passes=100):
     """One greedy expansion from a single seed node.
+
+    A pass that adds nothing ends the expansion, except when the community
+    is still the bare seed: then the first-step fallback (_first_step) adds
+    the best frontier nodes even at a loss, adopts the first prefix that
+    scores above the seed, and the passes resume from it. A score's
+    per-community prior can make every pair score below the seed even when
+    the seed's whole community scores above it.
 
     Args:
         graph: Graph.
@@ -97,16 +147,17 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0, max_passes=100):
             cand = add_node_delta(stats, graph, u, links[u], alpha)
             cand_score = scorer(cand)
             if cand_score > score:
-                members.add(u)
+                _grow(graph, members, links, u)
                 stats = cand
                 score = cand_score
                 added_any = True
-                del links[u]
-                for x in graph.neighbors(u).tolist():
-                    if x not in members:
-                        links[x] += 1
         if not added_any:
-            break
+            grown = None
+            if len(members) == 1:
+                grown = _first_step(graph, members, links, stats, score, scorer, alpha)
+            if grown is None:
+                break
+            members, links, stats, score = grown
     return DetectionResult(members, score, stats, passes=passes,
                            elapsed=time.perf_counter() - start)
 

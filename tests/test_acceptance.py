@@ -161,11 +161,11 @@ def test_criterion_05_large_n_ratio_targets():
     # w/n - M/N (here 2.5 - 3 = -0.5): every within-community pair bucket is
     # Beta-saturated at rate w/n per node, but the between bucket still pays
     # log-density M/N per node. The degree-corrected ratio tends to
-    # 4cw/v - 2c - 1 with c = M/N (here -2): the Poisson quadratic terms
-    # keep the graph density in the limit, and 2w/v - 1 = -conductance only
-    # drops out when the within volume matches the global density. The
-    # module suites pin those actual limits by extrapolation; this test
-    # reports the measured ratios against the requested targets and fails.
+    # 4cw/v - 2c = -2c * conductance with c = M/N (here -1): it is
+    # score/(M log N) that tends to -conductance, so normalising by N/2
+    # gives -1/6 only at c = 1/2. The module suites pin those
+    # actual limits by extrapolation; this test reports the measured ratios
+    # against the requested targets and fails.
     n_big = 10 ** 6
     m_big = 3 * n_big
     denom = n_big * math.log(n_big)
@@ -188,7 +188,7 @@ def test_criterion_05_large_n_ratio_targets():
             f"score/(N log N) = {sbm_ratio:.4f} at N=1e6 vs requested 2.5 "
             f"(extrapolated limit w/n - M/N = -0.5, see test_sbm.py); "
             f"2*score/(N log N) = {dcbm_ratio:.4f} at N=1e6 vs requested "
-            f"-1/6 (extrapolated limit 4cw/v - 2c - 1 = -2, see "
+            f"-1/6 (extrapolated limit 4cw/v - 2c = -1, see "
             f"test_dcbm.py); see the README testing note")
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -52,16 +53,32 @@ class TestDetect:
         assert out[3] == f"conductance={1 / 13:.10g}"
 
     def test_sbm_method_reports_the_stalled_singleton(self, in_tmp, capsys):
-        # The SBM score cannot accept a first neighbor on a graph this small
-        # (prior cost of a two-node community exceeds the edge evidence), so
-        # the command reports the seed alone. See the local-search tests.
-        write_graph("g.edges", bridge_graph())
+        # On two disjoint edges the SBM score puts the seed alone above every
+        # community that contains it (the prior cost of a two-node community
+        # exceeds the edge evidence), so neither the passes nor the
+        # first-step fallback leave it, and the command reports the seed
+        # alone. See the local-search tests.
+        write_graph("g.edges", disjoint_cliques(2, 2))
         rc = cli.main(["detect", "--graph", "g.edges", "--seed", "0",
                        "--method", "asbm", "--rng-seed", "0"])
         out = capsys.readouterr().out.splitlines()
         assert rc == 0
         assert out[0] == "0"
-        assert out[2] == "n=1 w=0 v=3"
+        assert out[2] == "n=1 w=0 v=1"
+
+    def test_adcbm_singleton_score_is_the_bound(self, in_tmp, capsys):
+        # A bare seed's rate shapes are alpha + count > 0, so its score is
+        # the bound's value and not a shape-floor penalty (-1e9 when the
+        # local fit floored an edgeless bucket).
+        with open("g.edges", "w") as fh:
+            fh.write("0 1\n1 2\n0 2\n3 4\n")
+        rc = cli.main(["detect", "--graph", "g.edges", "--seed", "3",
+                       "--method", "adcbm"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert out[0] == "3"
+        score = float(out[1].removeprefix("log_score="))
+        assert math.isfinite(score) and score > -1e3
 
     def test_json_output(self, in_tmp, capsys):
         write_graph("g.edges", bridge_graph())
@@ -213,9 +230,9 @@ class TestEval:
     GOLDEN_HEADER = ["method", "seed", "truth_size", "found_size",
                      "precision", "recall", "f1", "conductance"]
     GOLDEN_ROWS = [
-        ["adcbm", "9", "4", "3", "1.000000", "0.666667", "0.800000", "0.333333"],
-        ["adcbm", "0", "4", "3", "1.000000", "0.666667", "0.800000", "0.333333"],
-        ["adcbm", "6", "4", "3", "1.000000", "0.666667", "0.800000", "0.333333"],
+        ["adcbm", "9", "4", "4", "1.000000", "1.000000", "1.000000", "0.000000"],
+        ["adcbm", "0", "4", "4", "1.000000", "1.000000", "1.000000", "0.000000"],
+        ["adcbm", "6", "4", "4", "1.000000", "1.000000", "1.000000", "0.000000"],
     ]
 
     def test_golden_rows(self, in_tmp, capsys):
@@ -229,7 +246,7 @@ class TestEval:
         assert rows[1:] == self.GOLDEN_ROWS
         summary = capsys.readouterr().out.splitlines()
         fields = dict(zip(summary[0].split("\t"), summary[1].split("\t")))
-        assert fields["mean_f1"] == "0.800000"
+        assert fields["mean_f1"] == "1.000000"
         assert fields["failed"] == "0"
 
     def test_byte_identical_modulo_timing(self, in_tmp, capsys):

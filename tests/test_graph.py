@@ -2,11 +2,13 @@
 
 import io
 import itertools
+import random
 import warnings
 
 import numpy as np
 import pytest
 
+from blockcomm import graph as graph_module
 from blockcomm.graph import (
     Graph,
     add_node_delta,
@@ -92,6 +94,92 @@ class TestLoadEdgeList:
             assert nb == sorted(nb)
 
 
+def load_outcome(lines, per_line_only=False):
+    """What load_edge_list makes of lines: the graph's arrays, external ids
+    (with their types) and drop counts, or the ValueError's message."""
+    parse_bulk = graph_module._bulk_ids
+    if per_line_only:
+        graph_module._bulk_ids = lambda lines: None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g = load_edge_list(lines)
+    except ValueError as err:
+        return ("error", str(err))
+    finally:
+        graph_module._bulk_ids = parse_bulk
+    return (g.indptr.tolist(), g.indices.tolist(), g.external_ids,
+            [type(x) for x in g.external_ids], g.node_labels,
+            g.dropped_duplicates, g.dropped_self_loops)
+
+
+class TestBulkMatchesPerLine:
+    """The numpy bulk parse and the per-line parse accept the same inputs
+    and build the same graphs; the bulk parse declines (returns None) what
+    only the per-line parse can read or name the error of."""
+
+    BULK = {
+        "comments-duplicates-loop-sign-tabs": (
+            "# header\n\n0 1\n1 0\n2 2\n+5 3\n  7\t8  \n# trailer\n"),
+        "relabelled-in-first-appearance-order": "10 7\n7 42\n42 10\n10 7\n",
+        "crlf-negative-leading-zero": "-3 4\r\n4 -3\r\n007 4\r\n",
+        "no-final-newline": "1 2",
+    }
+    FALLBACK = {
+        "id-beyond-int64": f"5 {2**70}\n{2**70} 5\n5 5\n",
+        "underscore-id": "+5 1_0\n1_0 5\n",  # int() reads 1_0; numpy does not
+        "fullwidth-digit": "\uff15 1\n",
+        "non-ascii-whitespace": "1\u00a02\n3 1\n",
+        "inline-comment": "1 2 # tail\n",
+        "short-line": "0 1\n1 2\n3\n",
+        "long-line": "0 1\n0 1 2\n",
+        "three-columns": "0 1 2\n3 4 5\n",
+        "bad-token": "0 1\n1 2\nx y\n",
+        "float-token": "0 1\n1.0 2\n",
+        "empty": "",
+        "comments-only": "# only a comment\n\n",
+    }
+
+    @pytest.mark.parametrize("text", BULK.values(), ids=BULK.keys())
+    def test_bulk_inputs(self, text):
+        lines = text.splitlines(keepends=True)
+        assert graph_module._bulk_ids(lines) is not None
+        assert load_outcome(lines) == load_outcome(lines, per_line_only=True)
+
+    @pytest.mark.parametrize("text", FALLBACK.values(), ids=FALLBACK.keys())
+    def test_fallback_inputs(self, text):
+        lines = text.splitlines(keepends=True)
+        assert graph_module._bulk_ids(lines) is None
+        assert load_outcome(lines) == load_outcome(lines, per_line_only=True)
+
+    def test_line_numbered_errors(self):
+        assert load_outcome(["0 1\n", "1 2 # tail\n"]) == (
+            "error", "line 2: expected two node ids, got 4 fields")
+        assert load_outcome(["0 1\n", "x y\n"]) == (
+            "error", "line 2: non-integer node id in ['x', 'y']")
+
+    def test_random_lines(self):
+        # Lines mixing valid pairs with signs, underscores, comments, dots,
+        # control whitespace, NUL and carriage returns.
+        rnd = random.Random(7)
+        noise = list("0123456789") * 3 + list("+-_ \t#x.\x0b\x0c\x1c\r\x00,")
+        bulk = 0
+        for _ in range(3000):
+            lines = []
+            for _ in range(rnd.randint(1, 4)):
+                if rnd.random() < 0.6:
+                    line = f"{rnd.randint(-3, 12)} {rnd.randint(-3, 12)}"
+                    if rnd.random() < 0.3:
+                        i = rnd.randint(0, len(line))
+                        line = line[:i] + rnd.choice(noise) + line[i:]
+                else:
+                    line = "".join(rnd.choice(noise) for _ in range(rnd.randint(0, 8)))
+                lines.append(line + rnd.choice(["\n", "\n", "\r\n", ""]))
+            bulk += graph_module._bulk_ids(lines) is not None
+            assert load_outcome(lines) == load_outcome(lines, per_line_only=True), lines
+        assert 500 < bulk < 2500
+
+
 class TestRoundTrip:
     def test_edge_list_round_trip_is_isomorphic(self):
         rng = make_rng(11)
@@ -159,21 +247,21 @@ class TestCommunityStats:
         g = graph_from_edges(clique_edges(range(4)))
         st = community_stats(g, {0, 1, 2, 3}, alpha=1.0)
         assert (st.n, st.w, st.v) == (4, 6, 12)
-        assert st.sumsq_alpha_d == 36.0
+        assert st.sumsq_alpha_d == 64.0  # 4 * (1 + 3)^2
 
     def test_single_node_degree_five(self):
         edges = [(0, j) for j in range(1, 6)]
         g = graph_from_edges(edges)
         st = community_stats(g, {0}, alpha=1.0)
         assert (st.n, st.w, st.v) == (1, 0, 5)
-        assert st.sumsq_alpha_d == 25.0
+        assert st.sumsq_alpha_d == 36.0  # (1 + 5)^2
 
     def test_alpha_enters_sumsq_only(self):
         edges = [(0, j) for j in range(1, 6)]
         g = graph_from_edges(edges)
         st = community_stats(g, {0}, alpha=3.0)
         assert (st.n, st.w, st.v) == (1, 0, 5)
-        assert st.sumsq_alpha_d == pytest.approx((3.0 - 1.0 + 5) ** 2)
+        assert st.sumsq_alpha_d == pytest.approx((3.0 + 5) ** 2)
 
     def test_matches_pair_scan_on_random_set(self):
         rng = make_rng(23)
@@ -190,7 +278,7 @@ class TestCommunityStats:
             if mem[b] in adj[mem[a]]
         )
         v = sum(g.degree(i) for i in members)
-        sumsq = sum((1.5 - 1.0 + g.degree(i)) ** 2 for i in members)
+        sumsq = sum((1.5 + g.degree(i)) ** 2 for i in members)
         assert st.n == 20 and st.w == w and st.v == v
         assert st.sumsq_alpha_d == pytest.approx(sumsq)
 

@@ -81,31 +81,29 @@ class TestBruteForceAgreement:
         assert res.log_score == pytest.approx(best, abs=1e-9)
         assert all(f <= set(range(m)) for f in family)
 
-    def test_two_node_cliques_argmax_is_disconnected(self):
-        # On two disjoint single edges every connected candidate containing
-        # the seed has an empty edge bucket (the tiled counts assign all M
-        # edges within for the pair, none within for the singleton), so all
-        # of them sit at the clamp penalty and the unrestricted argmax is a
-        # 3-subset spanning both components. Expansion can never return a
-        # set disconnected from the seed; it returns the best connected
-        # candidate, the singleton.
+    def test_two_node_cliques_argmax_is_the_singleton(self):
+        # On two disjoint single edges the bare seed outscores every other
+        # subset: a pair pays the partition prior of a community without
+        # gaining a rate bucket the singleton lacks (conjugate rate shapes
+        # never reach zero). The first-step fallback tries the pair, which
+        # stays below the seed, so the search keeps the singleton.
         g = disjoint_cliques(2, 2)
         cfg = SearchConfig(method="adcbm", restarts=10, rng_seed=0)
         scorer, alpha = make_scorer(g, cfg)
         best, family = argmax_family(g, 0, scorer, alpha)
-        assert family == [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}]
+        assert family == [{0}]
+        assert scorer(community_stats(g, {0, 1}, alpha)) < best
         res = detect(g, 0, cfg)
         assert res.members == {0}
-        connected = [{0}, {0, 1}]
-        assert res.log_score == max(
-            scorer(community_stats(g, c, alpha)) for c in connected)
-        assert res.log_score < best
+        assert res.log_score == best
 
     def test_sbm_score_has_a_first_step_barrier_here(self):
         # On an 8-node graph the SBM score's per-community prior term makes
         # every pair {seed, neighbor} score below the bare singleton, so
-        # strict-ascent expansion never leaves the seed even though the full
-        # clique scores higher still. Document that honestly.
+        # strict-ascent passes never leave the seed even though the full
+        # clique scores higher still. The first-step fallback crosses the
+        # barrier: it adds the best neighbours at a loss until the prefix
+        # beats the seed, and the passes then reach the argmax.
         g = bridge_graph()
         cfg = SearchConfig(method="asbm", restarts=10, rng_seed=0)
         scorer, alpha = make_scorer(g, cfg)
@@ -116,7 +114,38 @@ class TestBruteForceAgreement:
         assert family == [{0, 1, 2, 3}]
         assert best > singleton
         res = detect(g, 0, cfg)
-        assert res.members == {0}
+        assert res.members == {0, 1, 2, 3}
+        assert res.log_score == pytest.approx(best, abs=1e-9)
+
+    def test_first_step_fallback_stops_at_its_cap(self):
+        # A score that prices every non-singleton community below the seed
+        # never adopts a prefix: the fallback makes FIRST_STEP_CAP losing
+        # additions, scores each prefix's frontier, and returns the seed.
+        g = graph_from_edges(clique_edges(range(8)))
+        seen = Counter()
+
+        def scorer(stats):
+            seen[stats.n] += 1
+            return 0.0 if stats.n == 1 else -float(stats.n)
+
+        res = greedy_expand(g, 0, scorer, derived_rng(0, 0))
+        assert res.members == {0} and res.log_score == 0.0
+        assert res.passes == 1
+        assert max(seen) == local_search.FIRST_STEP_CAP + 1
+
+    def test_first_step_fallback_adopts_the_first_winning_prefix(self):
+        # The score rises past the seed's at three members and peaks at
+        # five; the fallback adopts the 3-prefix (lowest ids first among
+        # ties) and the passes then climb to the peak.
+        g = graph_from_edges(clique_edges(range(8)))
+        values = {1: 0.0, 2: -1.0, 3: 0.5, 4: 2.0, 5: 3.0}
+
+        def scorer(stats):
+            return values.get(stats.n, -10.0)
+
+        res = greedy_expand(g, 0, scorer, derived_rng(0, 0))
+        assert len(res.members) == 5 and res.log_score == 3.0
+        assert {1, 2} <= res.members
 
 
 class TestDeterminismAndRestarts:
@@ -283,6 +312,21 @@ class TestScoreOnce:
             assert (got.restart_index, got.passes) == (want.restart_index, want.passes)
 
 
+def scratch_first_step(graph, members, score, scorer, alpha):
+    """The first-step fallback with every candidate's stats from scratch."""
+    members = set(members)
+    for _ in range(local_search.FIRST_STEP_CAP):
+        frontier = sorted({int(x) for m in members for x in graph.neighbors(m)} - members)
+        if not frontier:
+            return None
+        scored = [(scorer(community_stats(graph, members | {u}, alpha)), -u) for u in frontier]
+        cand_score, neg_u = max(scored)
+        members.add(-neg_u)
+        if cand_score > score:
+            return members, cand_score
+    return None
+
+
 def scratch_greedy(graph, seed, scorer, rng, alpha, max_passes):
     """greedy_expand with every candidate's stats recomputed from scratch."""
     members = {seed}
@@ -305,7 +349,14 @@ def scratch_greedy(graph, seed, scorer, rng, alpha, max_passes):
                 frontier.update(int(x) for x in graph.neighbors(u)
                                 if int(x) not in members)
         if not added_any:
-            break
+            grown = None
+            if len(members) == 1:
+                grown = scratch_first_step(graph, members, score, scorer, alpha)
+            if grown is None:
+                break
+            members, score = grown
+            stats = community_stats(graph, members, alpha)
+            frontier = {int(x) for m in members for x in graph.neighbors(m)} - members
     return DetectionResult(members, score, stats, passes=passes)
 
 
