@@ -17,7 +17,7 @@ from .distributions import GammaParams, BetaParams, log_gamma, digamma, log_beta
 from .sbm import SbmPriors, EdgeCounts, exact_edge_counts, sbm_log_likelihood
 from .sbm import log_partition_prior, asbm_tilde_counts, asbm_log_score
 from .dcbm import DcbmPriors, VariationalState, LocalDcbmState
-from .dcbm import vb_update, vb_bound, solve_theta_d, adcbm_local_fit
+from .dcbm import vb_update, vb_bound, adcbm_local_fit
 from .dcbm import adcbm_log_score, formal_n_totals
 from .local_search import SearchConfig, DetectionResult, greedy_expand, detect
 from .global_search import Partition, louvain, objective_value

@@ -3,13 +3,24 @@
 Edge counts are Poisson with mean d_i d_j lambda_block, with Gamma priors on
 the per-node propensities d_i and on both rates. Exact marginalization is
 intractable, so inference maximizes a variational lower bound built from a
-fully factorized Gamma surrogate. The local score evaluates the same bound
-under the uniformity assumption that the graph is tiled by k = 2M/v copies
-of the candidate community, which collapses the per-node parameters to one
-shared scale theta_d. With conjugate shapes and both rate factors at their
-optimum the bound depends on theta_d alone; its maximiser is the unique
-root of a rational function F (the bound's slope in log theta_d), found by
-bracketed Newton steps, and the score is the bound there.
+fully factorized Gamma surrogate with conjugate shapes: alpha + deg_i for a
+node's degree factor, alpha + count for a rate factor. No shape falls below
+alpha, so every partition, edgeless buckets included, scores finitely.
+
+The global fit sweeps the factors by coordinate ascent and ends each sweep
+with a gauge step. Scaling every E[d_i] by c and both rate scales by 1/c^2
+leaves the likelihood terms unchanged and moves the bound by
+(N - 4) alpha ln c - c A - B / c^2, with A = sum E[d_i] / theta and
+B = (E[lambda_in] + E[lambda_out]) / theta; the step takes the maximiser,
+the unique positive root of A c^3 - (N - 4) alpha c^2 - 2B.
+
+The local score evaluates the same bound under the uniformity assumption
+that the graph is tiled by k = 2M/v copies of the candidate community,
+which collapses the per-node parameters to one shared scale theta_d. With
+both rate factors at their optimum the bound depends on theta_d alone; its
+maximiser is the unique root of a rational function F (the bound's slope
+in log theta_d), found by bracketed Newton steps, and the score is the
+bound there.
 """
 
 import math
@@ -21,10 +32,10 @@ from scipy.special import psi
 from .distributions import GammaParams, gamma_kl, gamma_kl_shape_terms, gamma_kl_terms
 from .graph import dense_labels
 
-# The global surrogate's Gamma shapes alpha - 1 + count hit 0 for edgeless
-# buckets under the uninformative prior; a tiny positive floor keeps them
-# scorable. The local fit's conjugate shapes alpha + count never reach it.
-SHAPE_FLOOR = 1e-9
+# Newton root solves (the global gauge step, the local bound's slope): steps
+# allowed, and the relative step that ends them.
+ROOT_MAX_STEPS = 100
+ROOT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,16 +59,15 @@ class DcbmPriors:
 class VariationalState:
     """Factorized Gamma surrogate for the global model.
 
-    alpha_d/theta_d: per-node shape and scale arrays for the degree factors;
-    lambda_in/lambda_out: shared within/between rate factors. clamped is set
-    when any shape had to be floored at SHAPE_FLOOR.
+    alpha_d/theta_d: per-node shape and scale arrays for the degree factors
+    (the shapes are alpha + deg); lambda_in/lambda_out: shared
+    within/between rate factors.
     """
 
     alpha_d: np.ndarray
     theta_d: np.ndarray
     lambda_in: GammaParams
     lambda_out: GammaParams
-    clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -82,10 +92,6 @@ class LocalDcbmState:
     iterations: int = 0
 
 
-def _clamp_shape(x):
-    return (max(x, SHAPE_FLOOR), x < SHAPE_FLOOR)
-
-
 def _pair_sums(assign, e_d):
     """Sums of E[d_i] E[d_j] over within-community and between-community pairs."""
     n_comms = int(assign.max()) + 1
@@ -98,13 +104,11 @@ def _pair_sums(assign, e_d):
 
 
 def initial_variational_state(graph, priors):
-    """Starting state: degree-matched shapes, prior scales and rate factors."""
-    a = priors.alpha - 1.0 + graph.degrees.astype(float)
-    clamped = bool((a < SHAPE_FLOOR).any())
-    a = np.maximum(a, SHAPE_FLOOR)
+    """Starting state: conjugate degree shapes, prior scales and rate factors."""
+    a = priors.alpha + graph.degrees.astype(float)
     theta_d = np.full(graph.node_count, priors.theta)
     lam = GammaParams(priors.alpha, priors.theta)
-    return VariationalState(a, theta_d, lam, lam, clamped)
+    return VariationalState(a, theta_d, lam, lam)
 
 
 class VbPartition:
@@ -113,7 +117,7 @@ class VbPartition:
     Built by prepare_partition. vb_update and vb_bound take one wherever
     they take a partition, so a fit that holds one partition for many
     sweeps computes these once: the dense labels, the within-community edge
-    count, the starting state (its floored degree shapes are the shapes
+    count, the starting state (its conjugate degree shapes are the shapes
     every sweep sets), and psi and the Gamma-KL head of those shapes.
     """
 
@@ -136,24 +140,43 @@ def prepare_partition(graph, partition, priors):
     return VbPartition(graph, partition, priors)
 
 
-def vb_update(graph, partition, state, priors):
-    """One synchronous coordinate-ascent sweep over all surrogate factors.
+def _gauge_scale(a, k, b):
+    """The positive root c of a c^3 - k c^2 - 2b, for a, b > 0.
 
-    Update order: per-node shapes, per-node scales (all from the pre-sweep
-    degree means), then the within rate factor and the between rate factor
-    (from the fresh degree means). Per-node sums are formed from community
-    aggregates so a sweep costs O(N + M). partition may be a VbPartition.
+    Newton steps start at max(k, 0)/a + (2b/a)^(1/3), at or above the root;
+    there the cubic is convex and increasing, so the iterates fall
+    monotonically to it.
+    """
+    c = max(k, 0.0) / a + (2.0 * b / a) ** (1.0 / 3.0)
+    for _ in range(ROOT_MAX_STEPS):
+        step = ((a * c - k) * c * c - 2.0 * b) / ((3.0 * a * c - 2.0 * k) * c)
+        c -= step
+        if step <= ROOT_RTOL * c:
+            break
+    return c
+
+
+def vb_update(graph, partition, state, priors):
+    """One synchronous coordinate-ascent sweep, closed by a gauge step.
+
+    Update order: per-node scales (from the pre-sweep degree means), then
+    the within and the between rate factor (from the fresh degree means);
+    the shapes are the conjugate alpha + deg and alpha + count throughout.
+    The gauge step then scales every degree scale by c and both rate scales
+    by 1/c^2, with c the bound's maximiser along that direction (see the
+    module docstring). Per-node sums are formed from community aggregates
+    so a sweep costs O(N + M). partition may be a VbPartition.
 
     Raises:
         ValueError: if a scale denominator is not positive and finite.
     """
     if graph.node_count == 0:
         lam = GammaParams(priors.alpha, priors.theta)
-        return VariationalState(np.empty(0), np.empty(0), lam, lam, False)
+        return VariationalState(np.empty(0), np.empty(0), lam, lam)
     fit = prepare_partition(graph, partition, priors)
     assign = fit.labels
     alpha, theta = priors.alpha, priors.theta
-    a_d, clamped = fit.start.alpha_d, fit.start.clamped
+    a_d = fit.start.alpha_d
 
     e_lambda_in = state.lambda_in.mean
     e_lambda_out = state.lambda_out.mean
@@ -171,15 +194,16 @@ def vb_update(graph, partition, state, priors):
             f"(E[lambda_in]={e_lambda_in}, E[lambda_out]={e_lambda_out})")
     theta_d = 1.0 / denom
 
-    same_pairs, cross_pairs = _pair_sums(assign, a_d * theta_d)
-
-    w_in = fit.within
-    ai, c1 = _clamp_shape(alpha - 1.0 + w_in)
-    theta_i = 1.0 / (1.0 / theta + same_pairs)
-    ab, c2 = _clamp_shape(alpha - 1.0 + (graph.edge_count - w_in))
-    theta_b = 1.0 / (1.0 / theta + cross_pairs)
-    return VariationalState(a_d, theta_d, GammaParams(ai, theta_i),
-                            GammaParams(ab, theta_b), clamped or c1 or c2)
+    e_d = a_d * theta_d
+    same_pairs, cross_pairs = _pair_sums(assign, e_d)
+    a_in = alpha + fit.within
+    a_out = alpha + (graph.edge_count - fit.within)
+    theta_in = 1.0 / (1.0 / theta + same_pairs)
+    theta_out = 1.0 / (1.0 / theta + cross_pairs)
+    c = _gauge_scale(float(e_d.sum()) / theta, (graph.node_count - 4) * alpha,
+                     (a_in * theta_in + a_out * theta_out) / theta)
+    return VariationalState(a_d, theta_d * c, GammaParams(a_in, theta_in / (c * c)),
+                            GammaParams(a_out, theta_out / (c * c)))
 
 
 def vb_bound(graph, partition, state, priors):
@@ -214,27 +238,6 @@ def vb_bound(graph, partition, state, priors):
           + float(gamma_kl_terms(state.alpha_d, state.theta_d, prior.shape,
                                  prior.scale, kl_shape).sum()))
     return edge_term - quad - kl
-
-
-def solve_theta_d(v_hat, m_hat, mean_lambda_in, mean_lambda_out, theta):
-    """Degree scale that maximizes the bound for fixed rate means.
-
-    Solves the fixed point theta_d = 1 / (1/theta + theta_d * c) with
-    c = mean_lambda_in * v_hat + mean_lambda_out * (m_hat - v_hat), i.e. the
-    positive root of c x^2 + x/theta - 1 = 0. The root is written in the
-    cancellation-free form 2 / (1/theta + sqrt(1/theta^2 + 4c)).
-    """
-    c = mean_lambda_in * v_hat + mean_lambda_out * (m_hat - v_hat)
-    if c == 0.0:
-        return theta
-    inv_t = 1.0 / theta
-    return 2.0 / (inv_t + math.sqrt(inv_t * inv_t + 4.0 * c))
-
-
-# The root of the bound's slope: steps allowed, and the relative step that
-# ends them.
-ROOT_MAX_STEPS = 100
-ROOT_RTOL = 1e-12
 
 
 def _slope_root(m_hat, a_in, p_in, a_out, p_out, theta):

@@ -8,8 +8,9 @@ neighboring community, or a fresh singleton, with the best objective gain);
 they differ only in a small per-model gain that prices a move. The gSBM
 gain is exact, from the within-edge and within-pair totals. The gDCBM gain
 holds the variational surrogate fixed; it is refitted between sweeps, and
-a sweep whose refitted objective went down is rolled back. Each refit
-prepares its partition's invariants once for all of its VB sweeps.
+a sweep whose refitted objective went down is rolled back. Each refit runs
+gauge-stepped VB sweeps (see dcbm) to their fixed point, and prepares its
+partition's invariants once for all of them.
 
 A level whose moving phase stalls tries a coarser partition, proposed for
 both objectives through the scale-free SBM contrast: gSBM runs a greedy
@@ -26,26 +27,12 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .dcbm import SHAPE_FLOOR, prepare_partition, vb_bound, vb_update
-from .distributions import GammaParams
+from .dcbm import prepare_partition, vb_bound, vb_update
 from .graph import dense_labels
 from .sbm import (SbmPriors, exact_edge_counts, log_partition_prior, sbm_log_likelihood,
                   sbm_log_marginal)
 
 _ACCEPT_EPS = 1e-9
-
-
-def _lambda_moments(block, priors):
-    """(E[lambda], E[log lambda]) for a rate block, at the prior when empty.
-
-    A bucket with no observed edges has its posterior shape clamped at the
-    floor, where psi(shape) is a huge negative number that would dominate
-    every frozen move delta. Rating such blocks at the prior mean instead
-    mirrors the prior-mean initialization of the local fit.
-    """
-    if block.shape <= SHAPE_FLOOR:
-        block = GammaParams(priors.alpha, priors.theta)
-    return block.mean, block.mean_log
 
 
 @dataclass(frozen=True)
@@ -217,17 +204,18 @@ class _FrozenDcbmGain:
     """gDCBM bound change of a single-node move under a frozen surrogate.
 
     Fits the surrogate on the partition comm[orig_to_super]; bound is the
-    fitted bound. With the factors frozen, the bound gains d_log per
-    within-community edge and loses d_mean per unit of within-community
-    sum of E[d_i] E[d_j], tracked through per-super-node and per-community
-    sums of E[d] and E[d]^2.
+    fitted bound. With the factors frozen, the bound gains d_log =
+    E[log lambda_in] - E[log lambda_out] per within-community edge and
+    loses d_mean = E[lambda_in] - E[lambda_out] per unit of
+    within-community sum of E[d_i] E[d_j], tracked through per-super-node
+    and per-community sums of E[d] and E[d]^2. Both rate shapes are at
+    least alpha, so the moments are finite at every partition.
     """
 
     def __init__(self, graph, orig_to_super, comm, priors):
         state, self.bound = _converge_vb(graph, comm[orig_to_super], priors)
-        mean_in, log_in = _lambda_moments(state.lambda_in, priors)
-        mean_out, log_out = _lambda_moments(state.lambda_out, priors)
-        self.d_log, self.d_mean = log_in - log_out, mean_in - mean_out
+        self.d_log = state.lambda_in.mean_log - state.lambda_out.mean_log
+        self.d_mean = state.lambda_in.mean - state.lambda_out.mean
         e_d = state.alpha_d * state.theta_d
         s_u = np.bincount(orig_to_super, weights=e_d, minlength=len(comm))
         q_u = np.bincount(orig_to_super, weights=e_d * e_d, minlength=len(comm))

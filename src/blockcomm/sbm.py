@@ -45,7 +45,7 @@ class EdgeCounts:
 
     ai_plus: within edges; ai_minus: within non-edges; ab_plus: between
     edges; ab_minus: between non-edges. degenerate marks counts that had to
-    be clamped up to zero and therefore describe no realizable graph.
+    be raised to zero and therefore describe no realizable graph.
     """
 
     ai_plus: float
@@ -131,7 +131,7 @@ def asbm_tilde_counts(stats, N, M):
 
     Assumes the graph is tiled by k = N/n communities that all look like the
     candidate. Negative extrapolated counts (possible for ab+ when k*w > M)
-    are clamped to zero and the result flagged degenerate.
+    are raised to zero and the result flagged degenerate.
 
     Returns:
         (EdgeCounts, k).

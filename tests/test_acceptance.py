@@ -19,9 +19,9 @@ import pytest
 from blockcomm import cli
 from blockcomm.dcbm import (
     DcbmPriors,
+    adcbm_local_fit,
     adcbm_log_score,
     initial_variational_state,
-    solve_theta_d,
     vb_bound,
     vb_update,
 )
@@ -92,36 +92,17 @@ def test_criterion_02_uniform_tiling_score_is_exact():
             assert approx == pytest.approx(exact, abs=1e-9)
 
 
-def _clamp_free_partition(graph, rng, n_comms=3):
-    """Random partition whose within/between buckets both contain edges.
-
-    A bucket with zero edges floors its posterior rate shape, where the
-    variational sweep is provably not an ascent (see test_dcbm.py), so the
-    ascent criterion draws partitions with both buckets populated.
-    """
-    m = graph.edge_count
-    while True:
-        assignment = rng.integers(0, n_comms, size=graph.node_count)
-        within = 0
-        for i in range(graph.node_count):
-            for j in graph.neighbors(i):
-                if i < int(j) and assignment[i] == assignment[int(j)]:
-                    within += 1
-        if 1 <= within <= m - 1:
-            return assignment
-
-
 def test_criterion_03_variational_sweeps_ascend():
-    # 20 random graphs (N <= 50), random partitions: the bound never drops
-    # by more than 1e-8 per sweep over 50 sweeps, and every KL term in the
-    # final state is non-negative.
+    # 20 random graphs (N <= 50), random partitions (edgeless buckets
+    # included): the bound never drops by more than 1e-8 per sweep over 50
+    # sweeps, and every KL term in the final state is non-negative.
     priors = DcbmPriors()
     rng = make_rng(606)
     prior = GammaParams(priors.alpha, priors.theta)
     for _ in range(20):
         n = int(rng.integers(8, 51))
         g = Graph.from_edges(n, random_gnp(rng, n, 0.3))
-        assignment = _clamp_free_partition(g, rng)
+        assignment = rng.integers(0, 3, size=n)
         state = initial_variational_state(g, priors)
         bound = vb_bound(g, assignment, state, priors)
         for _ in range(50):
@@ -137,20 +118,36 @@ def test_criterion_03_variational_sweeps_ascend():
 
 
 def test_criterion_04_theta_d_fixed_point_residual():
-    # 1000 random (v_hat, m_hat, lambda means, theta) points: the closed
-    # form satisfies its own fixed-point equation to 1e-12.
+    # 1000 random local-fit stat points: the degree scale the local fit
+    # solves for lies in (0, theta] and zeroes the bound's slope in
+    # log theta_d, F(t) = m_hat (1 - t/theta)
+    # - sum_r a_r P_r t^2 / (1/theta + P_r t^2 / 2), to 1e-9 m_hat.
     rng = make_rng(7)
+    solved = 0
     for _ in range(1000):
-        v_hat = 10.0 ** rng.uniform(0, 5)
-        m_hat = v_hat * (1.0 + 10.0 ** rng.uniform(-2, 3))
-        lam_in = 10.0 ** rng.uniform(-6, 2)
-        lam_out = 10.0 ** rng.uniform(-6, 2)
-        theta = 10.0 ** rng.uniform(-3, 2)
-        td = solve_theta_d(v_hat, m_hat, lam_in, lam_out, theta)
-        c = lam_in * v_hat + lam_out * (m_hat - v_hat)
-        assert abs(c * td * td + td / theta - 1.0) <= 1e-12
-        assert abs(td - 2.0 / (1.0 / theta
-                               + math.sqrt(1.0 / theta ** 2 + 4.0 * c))) <= 1e-12
+        priors = DcbmPriors(alpha=10.0 ** rng.uniform(-1, 1),
+                            theta=10.0 ** rng.uniform(-2, 1))
+        n = int(rng.integers(1, 60))
+        degs = rng.integers(1, 100, size=n)
+        v = int(degs.sum())
+        w = int(rng.integers(0, min(n * (n - 1) // 2, v // 2) + 1))
+        M = float(rng.integers(max(w, (v + 1) // 2), 50 * v))
+        N = float(rng.integers(n + 1, 20 * n + 2000))
+        sumsq = float(((priors.alpha + degs) ** 2).sum())
+        fit = adcbm_local_fit(CommunityStats(n, w, v, sumsq), N, M, priors)
+        if fit.degenerate:
+            continue
+        solved += 1
+        t, theta = fit.theta_d, priors.theta
+        p_in = fit.k * (fit.v_hat ** 2 - fit.k_hat_sq)
+        p_out = fit.m_hat ** 2 - fit.k * fit.v_hat ** 2
+        slope = fit.m_hat * (1.0 - t / theta)
+        for lam, p in ((fit.lambda_in, p_in), (fit.lambda_out, p_out)):
+            slope -= lam.shape * p * t * t / (1.0 / theta + p * t * t / 2.0)
+        assert fit.converged
+        assert 0.0 < t <= theta
+        assert abs(slope) <= 1e-9 * fit.m_hat
+    assert solved >= 900
 
 
 def test_criterion_05_large_n_ratio_targets():

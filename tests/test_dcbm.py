@@ -10,22 +10,22 @@ from scipy.optimize import minimize_scalar
 from blockcomm import dcbm
 from blockcomm.dcbm import (
     DcbmPriors,
-    SHAPE_FLOOR,
     VariationalState,
     adcbm_local_fit,
     adcbm_log_score,
     formal_n_totals,
     initial_variational_state,
     local_bound_value,
-    solve_theta_d,
     vb_bound,
     vb_update,
 )
 from blockcomm.distributions import GammaParams, gamma_kl, log_gamma
+from blockcomm.generators import PlantedSpec, sample_sbm
+from blockcomm.global_search import _converge_vb
 from blockcomm.graph import CommunityStats, Graph, community_stats
 from blockcomm.rng import make_rng
 
-from conftest import bridge_graph, clique_edges, graph_from_edges
+from conftest import assignment_of, bridge_graph, clique_edges, graph_from_edges
 
 UNIFORM = DcbmPriors()
 
@@ -34,8 +34,7 @@ def matched_cliques(m):
     """Two m-cliques joined by a perfect matching: every degree equals m.
 
     The graph is exactly two identical copies of either community, which is
-    the regime the local score's tiling assumption describes, and the cross
-    edges keep every Gamma shape away from the clamp floor.
+    the regime the local score's tiling assumption describes.
     """
     edges = clique_edges(range(m)) + clique_edges(range(m, 2 * m))
     edges += [(i, m + i) for i in range(m)]
@@ -52,8 +51,8 @@ def matched_copies(m, p=0.5):
 
 
 def conjugate_sweep(g, assign, st, priors):
-    """One vb_update sweep with conjugate shapes: alpha + deg for the degree
-    factors, alpha + count for the rates (vb_update uses alpha - 1 + ...)."""
+    """One vb_update sweep without its gauge step: the conjugate shapes
+    alpha + deg and alpha + count, the scales, then the rate factors."""
     inv_t = 1.0 / priors.theta
     e_d = st.alpha_d * st.theta_d
     s_c = np.bincount(assign, weights=e_d)
@@ -134,18 +133,17 @@ def direct_bound(g, part, st, priors):
     return total
 
 
-def clamp_free_partition(g, rng, n_comms=3):
-    """Random assignment resampled until no rate shape sits on the floor."""
-    while True:
-        part = [int(rng.integers(0, n_comms)) for _ in range(g.node_count)]
-        w = sum(
-            1
-            for i in range(g.node_count)
-            for j in g.neighbors(i)
-            if i < j and part[i] == part[j]
-        )
-        if w >= 1 and g.edge_count - w >= 1:
-            return part
+def positive_root(a, k, b):
+    """The one positive root of a c^3 - k c^2 - 2b (one sign change)."""
+    return max(r.real for r in np.roots([a, -k, 0.0, -2.0 * b]) if abs(r.imag) < 1e-9)
+
+
+def gauged(st, c):
+    """st with every degree scale times c and both rate scales over c^2."""
+    return VariationalState(
+        st.alpha_d, st.theta_d * c,
+        GammaParams(st.lambda_in.shape, st.lambda_in.scale / c**2),
+        GammaParams(st.lambda_out.shape, st.lambda_out.scale / c**2))
 
 
 class TestPriors:
@@ -167,44 +165,68 @@ class TestVbUpdate:
         g = graph_from_edges(clique_edges(range(3)))
         pri = DcbmPriors(alpha=2.0, theta=1.0)
         st = vb_update(g, [0, 0, 0], initial_variational_state(g, pri), pri)
-        assert st.alpha_d == pytest.approx([3.0, 3.0, 3.0])
-        # Denominator 1/theta + E[lam_in] * (sum of other degree means)
-        # = 1 + 2 * 6 = 13 for every node.
-        assert st.theta_d == pytest.approx([1 / 13] * 3, rel=1e-12)
-        assert st.lambda_in.shape == 4.0
-        assert st.lambda_in.scale == pytest.approx(169 / 196, rel=1e-12)
-        assert (st.lambda_out.shape, st.lambda_out.scale) == (1.0, 1.0)
-        assert not st.clamped
+        assert st.alpha_d == pytest.approx([4.0, 4.0, 4.0])
+        # Before the gauge step: denominator 1/theta + E[lam_in] * (sum of
+        # other degree means) = 1 + 2 * 8 = 17, so E[d] = 4/17 per node;
+        # lambda_in = (2 + 3, 1 / (1 + 3 * 16/289)) = (5, 289/337) and
+        # lambda_out = (2, 1). The step's c solves A c^3 - (N - 4) alpha c^2
+        # - 2B = 0 with A = 12/17, (N - 4) alpha = -2, B = 1445/337 + 2.
+        c = positive_root(12 / 17, -2.0, 1445 / 337 + 2.0)
+        assert st.theta_d == pytest.approx([c / 17] * 3, rel=1e-12)
+        assert st.lambda_in.shape == 5.0
+        assert st.lambda_in.scale == pytest.approx(289 / 337 / c**2, rel=1e-12)
+        assert st.lambda_out.shape == 2.0
+        assert st.lambda_out.scale == pytest.approx(1 / c**2, rel=1e-12)
 
     def test_single_edge_one_sweep_exact(self):
         g = Graph.from_edges(2, [(0, 1)])
         st = vb_update(g, [0, 0], initial_variational_state(g, UNIFORM), UNIFORM)
-        assert st.theta_d == pytest.approx([0.5, 0.5], rel=1e-12)
-        assert (st.lambda_in.shape, st.lambda_in.scale) == (1.0, pytest.approx(0.8))
-        # No between pairs carry edges; that rate shape sits on the floor.
-        assert st.lambda_out.shape == SHAPE_FLOOR
-        assert st.clamped
+        # Before the gauge step: E[d] = 2 / (1 + 2) = 2/3 per node,
+        # lambda_in = (2, 1 / (1 + 4/9)) = (2, 9/13), and lambda_out = (1, 1):
+        # no between pair, and its shape keeps the prior's 1.
+        c = positive_root(4 / 3, -2.0, 18 / 13 + 1.0)
+        assert st.theta_d == pytest.approx([c / 3, c / 3], rel=1e-12)
+        assert st.lambda_in.shape == 2.0
+        assert st.lambda_in.scale == pytest.approx(9 / 13 / c**2, rel=1e-12)
+        assert st.lambda_out.shape == 1.0
+        assert st.lambda_out.scale == pytest.approx(1 / c**2, rel=1e-12)
+
+    def test_gauge_step_maximises_the_bound_along_its_direction(self):
+        rng = make_rng(19)
+        g = graph_from_edges(
+            [(i, j) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.4]
+        )
+        part = rng.integers(0, 3, size=g.node_count)
+        pri = DcbmPriors(alpha=1.3, theta=0.7)
+        st = initial_variational_state(g, pri)
+        for _ in range(3):
+            st = vb_update(g, part, st, pri)
+            top = vb_bound(g, part, st, pri)
+            for c in (0.9, 0.999, 1.001, 1.1):
+                assert vb_bound(g, part, gauged(st, c), pri) < top
 
     def test_degree_shapes_fixed_by_model(self):
         rng = make_rng(31)
         g = graph_from_edges(
             [(i, j) for i in range(10) for j in range(i + 1, 10) if rng.random() < 0.4]
         )
-        part = clamp_free_partition(g, rng)
+        part = rng.integers(0, 3, size=g.node_count)
         st = initial_variational_state(g, UNIFORM)
         for _ in range(5):
             st = vb_update(g, part, st, UNIFORM)
-            assert st.alpha_d == pytest.approx(
-                np.maximum(UNIFORM.alpha - 1.0 + g.degrees, SHAPE_FLOOR)
-            )
+            assert st.alpha_d == pytest.approx(UNIFORM.alpha + g.degrees)
 
-    def test_single_node_graph_flagged(self):
+    def test_single_node_graph_stays_at_the_prior(self):
+        # No pairs: the scales stay at the prior, and the gauge cubic
+        # alpha (c^3 + 3 c^2 - 4) = alpha (c - 1) (c + 2)^2 has its root at 1.
         g = Graph.from_edges(1, [])
-        st = initial_variational_state(g, UNIFORM)
-        assert st.clamped
-        st = vb_update(g, [0], st, UNIFORM)
-        assert st.clamped
-        assert st.alpha_d[0] == SHAPE_FLOOR
+        st = vb_update(g, [0], initial_variational_state(g, UNIFORM), UNIFORM)
+        assert st.alpha_d[0] == UNIFORM.alpha
+        assert st.theta_d[0] == pytest.approx(UNIFORM.theta, rel=1e-12)
+        for lam in (st.lambda_in, st.lambda_out):
+            assert lam.shape == UNIFORM.alpha
+            assert lam.scale == pytest.approx(UNIFORM.theta, rel=1e-12)
+        assert vb_bound(g, [0], st, UNIFORM) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_node_graph(self):
         g = Graph(0, [])
@@ -233,14 +255,17 @@ class TestVbBound:
     def test_single_edge_hand_evaluation(self):
         g = Graph.from_edges(2, [(0, 1)])
         st = vb_update(g, [0, 0], initial_variational_state(g, UNIFORM), UNIFORM)
-        # State: alpha_d = (1,1), theta_d = (1/2,1/2),
-        # lambda_in = (1, 4/5), lambda_out = (floor, 1).
-        edge = 2 * (sps.psi(1.0) + math.log(0.5)) + (sps.psi(1.0) + math.log(0.8))
-        quad = 0.8 * 0.25  # E[lam_in] * (S^2 - Q)/2 with E[d] = 1/2
-        kl_in = -math.log(0.8) - 0.2
-        kl_d = 2 * (-math.log(0.5) - 0.5)
-        f = SHAPE_FLOOR
-        kl_out = (f - 1.0) * sps.psi(f) - sps.gammaln(f)
+        # State (see test_single_edge_one_sweep_exact): alpha_d = (2, 2),
+        # theta_d = (c/3, c/3), lambda_in = (2, 9/(13 c^2)) and
+        # lambda_out = (1, 1/c^2); each KL from Gamma(1, 1) is
+        # (a - 1) psi(a) - lgamma(a) - ln t + a (t - 1).
+        c = positive_root(4 / 3, -2.0, 18 / 13 + 1.0)
+        t_d, t_in, t_out = c / 3, 9 / (13 * c**2), 1 / c**2
+        edge = 2 * (sps.psi(2.0) + math.log(t_d)) + (sps.psi(2.0) + math.log(t_in))
+        quad = 2 * t_in * (2 * t_d) ** 2  # E[lam_in] E[d_0] E[d_1] = 8/13
+        kl_d = 2 * (sps.psi(2.0) - math.log(t_d) + 2 * (t_d - 1))
+        kl_in = sps.psi(2.0) - math.log(t_in) + 2 * (t_in - 1)
+        kl_out = -math.log(t_out) + t_out - 1
         expect = edge - quad - (kl_in + kl_out + kl_d)
         assert vb_bound(g, [0, 0], st, UNIFORM) == pytest.approx(expect, rel=1e-9)
 
@@ -257,7 +282,7 @@ class TestVbBound:
             if not edges:
                 continue
             g = graph_from_edges(edges)
-            part = clamp_free_partition(g, rng, n_comms=2)
+            part = rng.integers(0, 2, size=n)
             pri = DcbmPriors(alpha=1.3, theta=0.7)
             st = initial_variational_state(g, pri)
             for _ in range(int(rng.integers(1, 4))):
@@ -312,6 +337,8 @@ class TestAscent:
             prev = cur
 
     def test_random_graphs_fifty_sweeps(self):
+        # A random 3-way partition, all singletons and all in one: with
+        # every shape at least alpha, edgeless buckets ascend too.
         rng = make_rng(42)
         prior = GammaParams(UNIFORM.alpha, UNIFORM.theta)
         for _ in range(20):
@@ -326,52 +353,55 @@ class TestAscent:
                 if edges:
                     break
             g = Graph.from_edges(n, edges)
-            part = clamp_free_partition(g, rng)
-            st = initial_variational_state(g, UNIFORM)
-            prev = vb_bound(g, part, st, UNIFORM)
-            for _ in range(50):
-                st = vb_update(g, part, st, UNIFORM)
-                cur = vb_bound(g, part, st, UNIFORM)
-                assert cur >= prev - 1e-8
-                prev = cur
-            assert gamma_kl(st.lambda_in, prior) >= 0.0
-            assert gamma_kl(st.lambda_out, prior) >= 0.0
-            for a, t in zip(st.alpha_d, st.theta_d):
-                assert gamma_kl(GammaParams(float(a), float(t)), prior) >= -1e-12
+            for part in (rng.integers(0, 3, size=n), np.arange(n), np.zeros(n, dtype=int)):
+                st = initial_variational_state(g, UNIFORM)
+                prev = vb_bound(g, part, st, UNIFORM)
+                for _ in range(50):
+                    st = vb_update(g, part, st, UNIFORM)
+                    cur = vb_bound(g, part, st, UNIFORM)
+                    assert cur >= prev - 1e-8
+                    prev = cur
+                assert gamma_kl(st.lambda_in, prior) >= 0.0
+                assert gamma_kl(st.lambda_out, prior) >= 0.0
+                for a, t in zip(st.alpha_d, st.theta_d):
+                    assert gamma_kl(GammaParams(float(a), float(t)), prior) >= -1e-12
 
-    def test_floored_partition_breaks_ascent(self):
-        # A partition with no within edges pushes the within-rate shape to
-        # the clamp floor; that factor's KL diverges, so the first sweep
-        # collapses the bound. Ascent is only guaranteed off the floor.
+    def test_edgeless_within_partition_ascends(self):
+        # No within edges: the within-rate shape keeps the prior's alpha,
+        # and the sweeps ascend like on any other partition.
         g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
         part = [0, 1, 0, 1, 0, 1]
-        st0 = initial_variational_state(g, UNIFORM)
-        before = vb_bound(g, part, st0, UNIFORM)
-        st1 = vb_update(g, part, st0, UNIFORM)
-        assert st1.clamped
-        assert vb_bound(g, part, st1, UNIFORM) < before - 1e6
+        st = initial_variational_state(g, UNIFORM)
+        prev = vb_bound(g, part, st, UNIFORM)
+        for _ in range(50):
+            st = vb_update(g, part, st, UNIFORM)
+            assert st.lambda_in.shape == UNIFORM.alpha
+            cur = vb_bound(g, part, st, UNIFORM)
+            assert cur >= prev - 1e-8
+            prev = cur
+        assert math.isfinite(prev)
 
 
-class TestSolveThetaD:
-    def test_decoupled(self):
-        assert solve_theta_d(5.0, 9.0, 0.0, 0.0, 1.0) == 1.0
+class TestConvergeVbFixedPoint:
+    # _converge_vb stops on its tolerance; its bound must be that of the
+    # fixed point the gauge-free conjugate sweeps reach (converge_conjugate).
 
-    def test_c_two(self):
-        # v_hat=2, lambda_in=1, lambda_out=0 gives c=2; root of 2x^2+x-1.
-        assert solve_theta_d(2.0, 7.0, 1.0, 0.0, 1.0) == pytest.approx(0.5, rel=1e-14)
+    @staticmethod
+    def planted():
+        spec = PlantedSpec(communities=4, size=15, lambda_in=0.4, lambda_out=0.03)
+        g, truth = sample_sbm(spec, make_rng(77))
+        return g, assignment_of(truth, g.node_count)
 
-    def test_c_six_theta_half(self):
-        root = (-2.0 + math.sqrt(28.0)) / 12.0
-        assert solve_theta_d(6.0, 6.0, 1.0, 0.0, 0.5) == pytest.approx(root, rel=1e-14)
-
-    def test_residual_grid(self):
-        rng = make_rng(7)
-        for _ in range(1000):
-            c = 10.0 ** float(rng.uniform(-9, 9))
-            theta = 10.0 ** float(rng.uniform(-3, 2))
-            x = solve_theta_d(c, 1.0, 1.0, 0.0, theta)
-            assert abs(x - 1.0 / (1.0 / theta + c * x)) <= 1e-12
-            assert abs(c * x * x + x / theta - 1.0) <= 1e-12
+    @pytest.mark.parametrize("case", ["matched-copies-8", "planted"])
+    def test_bound_is_the_conjugate_fixed_point(self, case):
+        if case == "planted":
+            g, part = self.planted()
+        else:
+            g = matched_copies(8)
+            part = np.arange(g.node_count) // 8
+        ref = vb_bound(g, part, converge_conjugate(g, part, UNIFORM), UNIFORM)
+        _, bound = _converge_vb(g, part, UNIFORM)
+        assert bound == pytest.approx(ref, rel=1e-9)
 
 
 def slope(fit, t, theta):

@@ -207,7 +207,6 @@ class TestConvergeVb:
         assert np.array_equal(state.theta_d, ref_state.theta_d)
         assert state.lambda_in == ref_state.lambda_in
         assert state.lambda_out == ref_state.lambda_out
-        assert state.clamped == ref_state.clamped
 
 
 class TestAggregate:
@@ -400,14 +399,15 @@ class TestSweep:
 
 class TestLouvain:
     def test_two_cliques_is_the_exhaustive_argmax(self):
+        # Over all Bell(8) = 4,140 partitions, under either objective.
         g = disjoint_cliques(2, 4)
-        priors = SbmPriors()
-        best, blocks = brute_force_partition(g, "gsbm", priors)
-        assert blocks == [[0, 1, 2, 3], [4, 5, 6, 7]]
-        p = louvain(g, "gsbm", priors, make_rng(0))
-        check_valid(p, 8)
-        assert sorted(sorted(c) for c in p.communities()) == blocks
-        assert objective_value(g, p, "gsbm", priors) == pytest.approx(best, rel=1e-12)
+        for objective, priors in (("gsbm", SbmPriors()), ("gdcbm", DcbmPriors())):
+            best, blocks = brute_force_partition(g, objective, priors)
+            assert blocks == [[0, 1, 2, 3], [4, 5, 6, 7]]
+            p = louvain(g, objective, priors, make_rng(0))
+            check_valid(p, 8)
+            assert sorted(sorted(c) for c in p.communities()) == blocks
+            assert objective_value(g, p, objective, priors) == pytest.approx(best, rel=1e-12)
 
     def test_single_clique_argmax_is_all_singletons(self):
         # With every pair present the likelihood cannot distinguish "all
@@ -539,16 +539,16 @@ class TestLouvain:
     # Louvain on a seeded 120-node planted graph, pinned with == to the
     # assignment (one base-36 digit per node) and objective. gsbm is pinned
     # to the search before the likelihood kernel and the prior table were
-    # rewritten; gdcbm to the search whose stalled levels all propose
-    # through the gSBM moving phase. A rewrite that is not bit-identical
-    # moves a decision or the objective's last bits.
+    # rewritten; gdcbm to the conjugate surrogate with its gauge step (9
+    # communities, F1 0.930 against the planted blocks). A rewrite that is
+    # not bit-identical moves a decision or the objective's last bits.
     GOLDEN = {
         "gsbm": ("000003000000000000002232322223622426303511111511110111116111"
                  "666666666666666666667707777777777777777788888888888888888888",
                  -1552.6790032274785),
-        "gdcbm": ("111111111111011711113343333334233434434655555555551555552555"
-                  "262222222622222222226606666666666666666677777777777777777777",
-                  -1828.9540986533282),
+        "gdcbm": ("000000040000400000001121211112111611212533333533330343333333"
+                  "666666666666666666667777277777777777777788888888888888888888",
+                  -1695.621251092283),
     }
 
     @pytest.mark.parametrize("objective", sorted(GOLDEN))
@@ -560,6 +560,26 @@ class TestLouvain:
         digits, value = self.GOLDEN[objective]
         assert "".join(np.base_repr(c, 36).lower() for c in p.assignment) == digits
         assert objective_value(g, p, objective, priors) == value
+
+    def test_gdcbm_fits_stop_on_tolerance(self, monkeypatch):
+        # Every surrogate fit of the golden gDCBM search reaches its fixed
+        # point (the bound stalls below tol) before the 200-sweep cap.
+        sweeps = []
+
+        def counted_update(*args):
+            sweeps[-1] += 1
+            return vb_update(*args)
+
+        def counted_fit(*args, **kwargs):
+            sweeps.append(0)
+            return _converge_vb(*args, **kwargs)
+
+        monkeypatch.setattr(global_search, "vb_update", counted_update)
+        monkeypatch.setattr(global_search, "_converge_vb", counted_fit)
+        spec = PlantedSpec(communities=6, size=20, lambda_in=0.3, lambda_out=0.03)
+        g, _ = sample_sbm(spec, make_rng(120))
+        louvain(g, "gdcbm", DcbmPriors(), make_rng(7))
+        assert sweeps and max(sweeps) < 200
 
     def test_max_levels_one_still_valid(self):
         g = disjoint_cliques(2, 4)
