@@ -25,6 +25,7 @@ bound there.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import psi
@@ -70,26 +71,38 @@ class VariationalState:
     lambda_out: GammaParams
 
 
-@dataclass(frozen=True)
-class LocalDcbmState:
+class LocalDcbmState(NamedTuple):
     """The local fit at its bound's maximum.
 
-    theta_d is the shared degree scale, the root of the bound's slope;
-    lambda_in/lambda_out are the rate factors at their optimum given it.
-    iterations counts the root's Newton or bisection steps, and converged
-    is False only when the step cap stopped it first.
+    theta_d is the shared degree scale, the root of the bound's slope. The
+    rate factors at their optimum given it are Gamma(a_in, s_in) and
+    Gamma(a_out, s_out), held as four floats; lambda_in and lambda_out
+    build the validated GammaParams when read. iterations counts the root's
+    Newton or bisection steps, and converged is False only when the step
+    cap stopped it first. A named tuple, so the search builds one per
+    candidate cheaply.
     """
 
     v_hat: float
     m_hat: float
     k_hat_sq: float
     theta_d: float
-    lambda_in: GammaParams
-    lambda_out: GammaParams
+    a_in: float
+    s_in: float
+    a_out: float
+    s_out: float
     k: float
     degenerate: bool = False
     converged: bool = True
     iterations: int = 0
+
+    @property
+    def lambda_in(self):
+        return GammaParams(self.a_in, self.s_in)
+
+    @property
+    def lambda_out(self):
+        return GammaParams(self.a_out, self.s_out)
 
 
 def _pair_sums(assign, e_d):
@@ -288,15 +301,19 @@ def adcbm_local_fit(stats, N, M, priors):
     reach zero, so an edgeless candidate, a bare seed included, scores
     finitely; the greedy search's first-step fallback leans on that.
 
+    The search calls this once per distinct candidate, so it works on plain
+    floats and builds no GammaParams; it checks their domain itself.
+
     Returns:
         LocalDcbmState; degenerate is set when the community is inconsistent
         with the uniform tiling (zero volume, k < 1 or m_hat^2 < k v_hat^2).
 
     Raises:
-        ValueError: if M < w or v > 2M (inconsistent totals).
+        ValueError: if M < w or v > 2M (inconsistent totals), or if a rate
+        factor's shape or scale is not positive and finite.
     """
     alpha, theta = priors.alpha, priors.theta
-    n, w, v = stats.n, stats.w, stats.v
+    n, w, v, k_sq = stats
     if M < w:
         raise ValueError(f"total edge count {M} is below the community's {w}")
     if v > 2 * M:
@@ -304,20 +321,23 @@ def adcbm_local_fit(stats, N, M, priors):
     k = 2.0 * M / v if v > 0 else 0.0
     v_hat = v + n * alpha
     m_hat = 2.0 * M + N * alpha
-    k_sq = stats.sumsq_alpha_d
     p_in = k * (v_hat * v_hat - k_sq)
     p_out = m_hat * m_hat - k * v_hat * v_hat
     if v <= 0 or k < 1.0 or p_out < 0.0:
-        prior = GammaParams(alpha, theta)
-        return LocalDcbmState(v_hat, m_hat, k_sq, theta, prior, prior, k, degenerate=True)
+        return LocalDcbmState(v_hat, m_hat, k_sq, theta, alpha, theta, alpha, theta, k,
+                              degenerate=True)
     a_in = alpha + k * w
     a_out = alpha + (M - k * w)
     td, steps, converged = _slope_root(m_hat, a_in, p_in, a_out, p_out, theta)
     td2 = td * td
     inv_t = 1.0 / theta
-    return LocalDcbmState(v_hat, m_hat, k_sq, td,
-                          GammaParams(a_in, 1.0 / (inv_t + p_in * td2 / 2.0)),
-                          GammaParams(a_out, 1.0 / (inv_t + p_out * td2 / 2.0)), k,
+    s_in = 1.0 / (inv_t + p_in * td2 / 2.0)
+    s_out = 1.0 / (inv_t + p_out * td2 / 2.0)
+    if not (0.0 < a_in < math.inf and 0.0 < s_in < math.inf
+            and 0.0 < a_out < math.inf and 0.0 < s_out < math.inf):
+        # Outside the domain the checked form raises, naming the value.
+        GammaParams(a_in, s_in), GammaParams(a_out, s_out)
+    return LocalDcbmState(v_hat, m_hat, k_sq, td, a_in, s_in, a_out, s_out, k,
                           converged=converged, iterations=steps)
 
 
@@ -331,11 +351,10 @@ def local_bound_value(state, priors):
     values are comparable across communities of one graph.
     """
     alpha, theta = priors.alpha, priors.theta
-    td = state.theta_d
-    lam_i, lam_b = state.lambda_in, state.lambda_out
+    td, a_in, a_out = state.theta_d, state.a_in, state.a_out
     return (state.m_hat * (math.log(td) - td / theta)
-            + math.lgamma(lam_i.shape) + lam_i.shape * math.log(lam_i.scale)
-            + math.lgamma(lam_b.shape) + lam_b.shape * math.log(lam_b.scale)
+            + math.lgamma(a_in) + a_in * math.log(state.s_in)
+            + math.lgamma(a_out) + a_out * math.log(state.s_out)
             - 2.0 * (math.lgamma(alpha) + alpha * math.log(theta)))
 
 

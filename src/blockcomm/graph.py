@@ -9,7 +9,7 @@ over a whole partition are single numpy expressions.
 
 import re
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,14 +130,16 @@ def dense_labels(partition, node_count):
     return np.unique(labels, return_inverse=True)[1]
 
 
-@dataclass(frozen=True, slots=True)
-class CommunityStats:
+class CommunityStats(NamedTuple):
     """Sufficient statistics of one candidate community.
 
     n: node count; w: within edges (counted once); v: volume (degree sum);
     sumsq_alpha_d: sum over members of (alpha + deg)^2, the squared
     conjugate degree shapes under the Gamma shape alpha the stats were
     computed with.
+
+    A named tuple, so a search can build one per candidate cheaply and key
+    a memo on it: hashing and equality run in C.
     """
 
     n: int
@@ -330,12 +332,9 @@ def add_node_delta(stats, graph, u, links, alpha=1.0):
 
     links: number of u's edges into the community. Equals community_stats
     recomputed from scratch on the grown set; the greedy search leans on
-    this to stay local.
+    this to stay local. This is the one growth step: every candidate the
+    search scores is built here, positionally from the unpacked stats.
     """
+    n, w, v, sumsq = stats
     deg = graph.degree(u)
-    return CommunityStats(
-        n=stats.n + 1,
-        w=stats.w + links,
-        v=stats.v + deg,
-        sumsq_alpha_d=stats.sumsq_alpha_d + (alpha + deg) ** 2,
-    )
+    return CommunityStats(n + 1, w + links, v + deg, sumsq + (alpha + deg) ** 2)

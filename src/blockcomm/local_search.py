@@ -12,6 +12,12 @@ greedy_expand), since a score's per-community prior can price every pair
 below the seed. Restarts from one seed, and the repeated scans of a
 frontier, offer many of the same candidates, so detect scores each
 distinct candidate once per call.
+
+A candidate is a CommunityStats named tuple built by add_node_delta; it is
+also the memo's key, hashed and compared in C. add_node_delta and the two
+scores are looked up as module globals at each call, never bound once in a
+closure, so a wrapper installed on this module's names (a tracer, a test's
+monkeypatch) sees every call.
 """
 
 import time
@@ -46,6 +52,8 @@ class SearchConfig:
             raise ValueError(f"unknown method {self.method!r}; expected 'asbm' or 'adcbm'")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_passes < 1:
+            raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
         if self.formal_N is not None and self.formal_N < 1:
             raise ValueError(f"formal_N must be >= 1, got {self.formal_N}")
         if self.priors is None:
@@ -125,7 +133,12 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0, max_passes=100):
     Returns:
         DetectionResult. An isolated seed returns its singleton with a
         warning instead of failing.
+
+    Raises:
+        ValueError: if seed is outside [0, N).
     """
+    if not 0 <= seed < graph.node_count:
+        raise ValueError(f"seed {seed} is outside [0, {graph.node_count})")
     start = time.perf_counter()
     stats = community_stats(graph, {seed}, alpha)
     score = scorer(stats)
@@ -184,6 +197,10 @@ def detect(graph, seed, cfg):
     candidate is scored once per call: the score is a pure function of the
     candidate's CommunityStats, so restarts and repeated frontier scans reuse
     it, and the result is the same as scoring every candidate afresh.
+
+    Raises:
+        ValueError: if seed is outside [0, N) (greedy_expand checks it
+        before the first candidate).
     """
     score_of, alpha = make_scorer(graph, cfg)
     memo = {}

@@ -220,6 +220,22 @@ class TestBoundaries:
             SearchConfig(restarts=0)
         with pytest.raises(ValueError, match="formal_N"):
             SearchConfig(formal_N=0)
+        for passes in (0, -3):
+            with pytest.raises(ValueError, match=rf"max_passes must be >= 1, got {passes}"):
+                SearchConfig(max_passes=passes)
+
+    @pytest.mark.parametrize("method", ["asbm", "adcbm"])
+    @pytest.mark.parametrize("seed", [-1, -5, 5, 9])
+    def test_seed_outside_the_graph_rejected(self, method, seed):
+        # numpy would read a negative seed as an index from the end.
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        cfg = SearchConfig(method=method, restarts=2, rng_seed=0)
+        message = rf"seed {seed} is outside \[0, 5\)"
+        with pytest.raises(ValueError, match=message):
+            detect(g, seed, cfg)
+        scorer, alpha = make_scorer(g, cfg)
+        with pytest.raises(ValueError, match=message):
+            greedy_expand(g, seed, scorer, derived_rng(0, 0), alpha=alpha)
 
     def test_default_priors_follow_method(self):
         assert isinstance(SearchConfig(method="asbm").priors, SbmPriors)

@@ -4,7 +4,9 @@ bench/layers.py lists the (module, function) pairs a traced run wraps. A
 name that no longer resolves is only counted in `trace.phases_absent` and
 its per-layer metrics read 0, so a rename would otherwise pass unnoticed.
 Its hooks read fields of the returned values, so those are checked too.
-The file is loaded by path and not edited here.
+A traced detect checks that the wrappers see the local search's calls.
+bench/layers.py and bench/tracing.py are loaded by path and not edited
+here.
 """
 
 import importlib
@@ -13,14 +15,19 @@ from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 from blockcomm.dcbm import DcbmPriors, adcbm_local_fit
+from blockcomm.generators import PlantedSpec, sample_sbm
 from blockcomm.graph import CommunityStats
+from blockcomm.local_search import SearchConfig, detect
+from blockcomm.rng import make_rng
 
-LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_layers():
-    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -29,7 +36,7 @@ def load_layers():
 def test_fit_hook_reads_the_local_fit():
     # The hook counts solved and degenerate fits, root steps and
     # unconverged fits from the LocalDcbmState fields it names.
-    hook = load_layers()._fit_hook
+    hook = load_bench("layers")._fit_hook
     tracer = SimpleNamespace(counters=Counter())
     solved = adcbm_local_fit(CommunityStats(20, 50, 120, 20 * 7.0**2), 2000.0, 6000.0,
                              DcbmPriors())
@@ -44,8 +51,27 @@ def test_fit_hook_reads_the_local_fit():
 
 
 def test_every_traced_function_resolves():
-    targets = load_layers().TARGETS
+    targets = load_bench("layers").TARGETS
     assert targets
     missing = [f"{mod}.{name}" for mod, name, _, _ in targets
                if not callable(getattr(importlib.import_module(mod), name, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("method", ["asbm", "adcbm"])
+def test_traced_detect_counts_the_local_layers(method):
+    # The tracer patches module attributes, so the search must reach the
+    # growth step, the score and the fit through them, once per candidate.
+    tracing, layers = load_bench("tracing"), load_bench("layers")
+    spec = PlantedSpec(communities=4, size=15, lambda_in=0.5, lambda_out=0.03)
+    graph, _ = sample_sbm(spec, make_rng(4))
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer, layers.TARGETS) as absent:
+        detect(graph, 0, SearchConfig(method=method, restarts=3, rng_seed=1))
+    assert absent == []
+    calls = {key: stats.calls for key, stats in tracer.stats.items()}
+    score = f"{'sbm' if method == 'asbm' else 'dcbm'}.{method}_log_score"
+    assert calls["graph.add_node_delta"] > 0
+    assert calls[score] > 0
+    if method == "adcbm":
+        assert calls["dcbm.adcbm_local_fit"] == calls[score]
