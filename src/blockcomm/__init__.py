@@ -22,4 +22,4 @@ from .dcbm import adcbm_log_score, formal_n_totals
 from .local_search import SearchConfig, DetectionResult, greedy_expand, detect
 from .global_search import Partition, louvain, objective_value
 from .generators import PlantedSpec, sample_sbm, sample_dcbm
-from .evaluation import EvalRow, f1_excluding_seed, conductance, run_protocol, paired_t
+from .evaluation import EvalRow, f1_excluding_seed, conductance, run_protocol

@@ -306,7 +306,7 @@ def adcbm_local_fit(stats, N, M, priors):
 
     Returns:
         LocalDcbmState; degenerate is set when the community is inconsistent
-        with the uniform tiling (zero volume, k < 1 or m_hat^2 < k v_hat^2).
+        with the uniform tiling (zero volume or m_hat^2 < k v_hat^2).
 
     Raises:
         ValueError: if M < w or v > 2M (inconsistent totals), or if a rate
@@ -323,7 +323,7 @@ def adcbm_local_fit(stats, N, M, priors):
     m_hat = 2.0 * M + N * alpha
     p_in = k * (v_hat * v_hat - k_sq)
     p_out = m_hat * m_hat - k * v_hat * v_hat
-    if v <= 0 or k < 1.0 or p_out < 0.0:
+    if v <= 0 or p_out < 0.0:
         return LocalDcbmState(v_hat, m_hat, k_sq, theta, alpha, theta, alpha, theta, k,
                               degenerate=True)
     a_in = alpha + k * w

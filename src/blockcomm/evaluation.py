@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .graph import community_stats
 from .local_search import detect
@@ -82,35 +81,6 @@ def conductance(graph, members):
 def stats_conductance(stats):
     """Conductance (v - 2w) / v of a CommunityStats; 1.0 at zero volume."""
     return (stats.v - 2 * stats.w) / stats.v if stats.v > 0 else 1.0
-
-
-def paired_t(a, b):
-    """Two-sided paired t-test on per-sample differences.
-
-    Returns:
-        (t statistic, p value). Identical inputs give (0, 1) and a constant
-        non-zero difference gives (+-inf, 0); both are flagged with a
-        zero-variance warning.
-
-    Raises:
-        ValueError: on length mismatch or fewer than 2 samples.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"paired samples differ in length: {len(a)} vs {len(b)}")
-    if len(a) < 2:
-        raise ValueError("paired t-test requires at least 2 samples")
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    mean = float(d.mean())
-    sd = float(d.std(ddof=1))
-    if sd == 0.0:
-        if mean == 0.0:
-            warnings.warn("zero-variance differences, all zero; reporting t=0, p=1")
-            return 0.0, 1.0
-        warnings.warn("zero-variance non-zero differences; reporting infinite t, p=0")
-        return math.copysign(float("inf"), mean), 0.0
-    t = mean / (sd / math.sqrt(len(d)))
-    p = 2.0 * float(scipy_stats.t.sf(abs(t), len(d) - 1))
-    return t, p
 
 
 def _sample_indices(n_truths, samples, rng):
@@ -199,29 +169,3 @@ def summarize(rows):
     summary["mean_found_size"], _ = mean_se([r.found_size for r in ok])
     summary["mean_elapsed"], _ = mean_se([r.elapsed for r in ok])
     return summary
-
-
-def mark_significant(summaries, per_seed_f1):
-    """Table-style significance marks at level 0.01.
-
-    Given per-method summaries and per-method per-seed F1 lists (paired by
-    sample), marks the best mean F1 and every method not significantly worse
-    under a paired t-test.
-
-    Returns:
-        set of method names to mark.
-    """
-    if not summaries:
-        return set()
-    best = max(summaries, key=lambda s: s["mean_f1"])["method"]
-    marked = {best}
-    for s in summaries:
-        name = s["method"]
-        if name == best:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _, p = paired_t(per_seed_f1[best], per_seed_f1[name])
-        if p >= 0.01:
-            marked.add(name)
-    return marked

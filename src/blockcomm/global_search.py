@@ -21,6 +21,7 @@ is higher.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,9 @@ class Partition:
 def _converge_vb(graph, assignment, priors, tol=1e-8, max_sweeps=200):
     """Run vb_update sweeps until the bound stalls; returns (state, bound).
 
-    The partition is prepared once, so the sweeps share its invariants.
+    The partition is prepared once, so the sweeps share its invariants. A
+    fit that reaches max_sweeps without meeting tol warns, giving the last
+    bound change.
     """
     fit = prepare_partition(graph, assignment, priors)
     state = fit.start
@@ -66,10 +69,12 @@ def _converge_vb(graph, assignment, priors, tol=1e-8, max_sweeps=200):
     for _ in range(max_sweeps):
         state = vb_update(graph, fit, state, priors)
         new_bound = vb_bound(graph, fit, state, priors)
-        if abs(new_bound - bound) < tol:
-            bound = new_bound
+        change, bound = new_bound - bound, new_bound
+        if abs(change) < tol:
             break
-        bound = new_bound
+    else:
+        warnings.warn(f"VB fit stopped at its cap of {max_sweeps} sweeps; "
+                      f"last bound change {change:.3g} (tol {tol:g})")
     return state, bound
 
 

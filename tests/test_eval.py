@@ -5,14 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats as scipy_stats
 
 from blockcomm.evaluation import (
     EvalRow,
     conductance,
     f1_excluding_seed,
-    mark_significant,
-    paired_t,
     precision_recall_excluding_seed,
     run_protocol,
     stats_conductance,
@@ -108,44 +105,6 @@ class TestConductance:
             assert Fraction(v - 2 * w, v) + Fraction(2 * w, v) == 1
             assert conductance(g, members) == (v - 2 * w) / v
             assert stats_conductance(community_stats(g, members)) == (v - 2 * w) / v
-
-
-class TestPairedT:
-    def test_identical_inputs(self):
-        with pytest.warns(UserWarning, match="zero-variance"):
-            t, p = paired_t([0.5, 0.7, 0.9], [0.5, 0.7, 0.9])
-        assert (t, p) == (0.0, 1.0)
-
-    def test_constant_nonzero_difference(self):
-        with pytest.warns(UserWarning, match="zero-variance"):
-            t, p = paired_t([1.0, 1.0, 1.0], [0.5, 0.5, 0.5])
-        assert t == math.inf and p == 0.0
-        with pytest.warns(UserWarning, match="zero-variance"):
-            t, p = paired_t([0.5, 0.5], [1.0, 1.0])
-        assert t == -math.inf and p == 0.0
-
-    def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            paired_t([1.0, 2.0], [1.0])
-        with pytest.raises(ValueError, match="at least 2"):
-            paired_t([1.0], [2.0])
-
-    def test_matches_reference_implementation(self):
-        rng = make_rng(11)
-        a = rng.normal(size=40)
-        b = rng.normal(size=40)
-        t, p = paired_t(a, b)
-        ref = scipy_stats.ttest_rel(a, b)
-        assert t == pytest.approx(ref.statistic, rel=1e-12)
-        assert p == pytest.approx(ref.pvalue, rel=1e-12)
-
-    def test_null_p_values_are_uniform(self):
-        # Under the null (iid normal differences) the p-value must be
-        # uniform; 200 trials of n=1000, Kolmogorov-Smirnov at level 0.01.
-        rng = make_rng(2718)
-        ps = [paired_t(rng.normal(size=1000), np.zeros(1000))[1]
-              for _ in range(200)]
-        assert scipy_stats.kstest(ps, "uniform").pvalue > 0.01
 
 
 def truth_oracle(truths):
@@ -256,23 +215,3 @@ class TestSummarize:
         s = summarize(rows)
         assert s["failed"] == 1
         assert s["mean_f1"] == 0.0
-
-
-class TestMarkSignificant:
-    def test_identical_methods_both_marked(self):
-        f1s = {"a": [0.5, 0.6, 0.7, 0.8], "b": [0.5, 0.6, 0.7, 0.8]}
-        summaries = [{"method": "a", "mean_f1": 0.65},
-                     {"method": "b", "mean_f1": 0.65}]
-        assert mark_significant(summaries, f1s) == {"a", "b"}
-
-    def test_clearly_worse_method_unmarked(self):
-        rng = make_rng(9)
-        best = (0.9 + rng.normal(scale=1e-3, size=100)).tolist()
-        worse = (0.4 + rng.normal(scale=1e-3, size=100)).tolist()
-        f1s = {"good": best, "bad": worse}
-        summaries = [{"method": "good", "mean_f1": 0.9},
-                     {"method": "bad", "mean_f1": 0.4}]
-        assert mark_significant(summaries, f1s) == {"good"}
-
-    def test_empty(self):
-        assert mark_significant([], {}) == set()

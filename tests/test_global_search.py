@@ -1,6 +1,7 @@
 """Louvain ascent of the exact SBM posterior and the DC-SBM bound."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,14 @@ class TestConvergeVb:
         assert np.array_equal(state.theta_d, ref_state.theta_d)
         assert state.lambda_in == ref_state.lambda_in
         assert state.lambda_out == ref_state.lambda_out
+
+    def test_warns_when_the_sweep_cap_is_reached(self):
+        spec = PlantedSpec(communities=4, size=15, lambda_in=0.4, lambda_out=0.03)
+        g, _ = sample_sbm(spec, make_rng(77))
+        labels = np.arange(g.node_count)
+        with pytest.warns(UserWarning, match="cap of 1 sweeps; last bound change"):
+            _, bound = _converge_vb(g, labels, DcbmPriors(), max_sweeps=1)
+        assert bound == self.reference(g, labels, DcbmPriors(), max_sweeps=1)[1]
 
 
 class TestAggregate:
@@ -580,6 +589,15 @@ class TestLouvain:
         g, _ = sample_sbm(spec, make_rng(120))
         louvain(g, "gdcbm", DcbmPriors(), make_rng(7))
         assert sweeps and max(sweeps) < 200
+
+    def test_golden_gdcbm_search_raises_no_warning(self):
+        # A fit stopped at its sweep cap warns, so none of them did.
+        spec = PlantedSpec(communities=6, size=20, lambda_in=0.3, lambda_out=0.03)
+        g, _ = sample_sbm(spec, make_rng(120))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = louvain(g, "gdcbm", DcbmPriors(), make_rng(7))
+            objective_value(g, p, "gdcbm", DcbmPriors())
 
     def test_max_levels_one_still_valid(self):
         g = disjoint_cliques(2, 4)

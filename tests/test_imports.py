@@ -1,6 +1,7 @@
-"""Every name a package module imports is used in that module, and every
-module-level private function, class or constant is read somewhere in the
-package outside its own definition.
+"""Every name a package module imports is used in that module, every
+module-level function, class or constant is read somewhere in the package
+outside its own definition (a re-export in __init__.py counts as a read),
+and importing the package and its CLI leaves scipy.stats unloaded.
 
 No linter ships with the project, so this parses each module with ast.
 __init__.py is exempt from the import check: its imports are the package's
@@ -8,6 +9,9 @@ re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,28 +55,40 @@ def _top_level_names(node):
 
 
 def _reads(node):
-    """Names a statement reads, as bare names or as attributes."""
+    """Names a statement reads, as bare names, as attributes or as the
+    names a from-import takes."""
     out = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
     return out
 
 
-def unread_privates(sources):
-    """module.name of each module-level _private definition that no other
-    top-level statement of any module in sources ({module: source}) reads."""
+def _unread(sources, wanted):
+    """module.name of each module-level definition, among those whose name
+    passes wanted, that no other top-level statement of any module in
+    sources ({module: source}) reads."""
     defined, statements = [], []
     for module, source in sources.items():
         for node in ast.parse(source).body:
             statements.append(node)
             defined += [(module, name, node) for name in _top_level_names(node)
-                        if name.startswith("_") and not name.startswith("__")]
+                        if wanted(name)]
     reads = [(node, _reads(node)) for node in statements]
     return sorted(f"{module}.{name}" for module, name, own in defined
                   if not any(name in names for node, names in reads if node is not own))
+
+
+def unread_privates(sources):
+    return _unread(sources, lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+def unread_publics(sources):
+    return _unread(sources, lambda name: not name.startswith("_"))
 
 
 def test_checker_finds_unread_privates():
@@ -87,3 +103,27 @@ def test_checker_finds_unread_privates():
 def test_no_unread_private_definitions():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unread_privates(sources) == []
+
+
+def test_checker_finds_unread_publics():
+    sources = {
+        "a": "LIMIT = 3\ndef used(x):\n    return x\ndef exported():\n    pass\n"
+             "def orphan():\n    return orphan()\nclass Kept:\n    pass\n",
+        "b": "from .a import used\ndef run(x):\n    return used(x) + LIMIT, x.Kept\n",
+        "__init__": "__version__ = '1'\nfrom .a import exported\nfrom .b import run\n",
+    }
+    assert unread_publics(sources) == ["a.orphan"]
+
+
+def test_no_unread_public_definitions():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_publics(sources) == []
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # A child process: other tests load scipy.stats into this one.
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    code = "import blockcomm, blockcomm.cli, sys; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
