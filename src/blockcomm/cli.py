@@ -116,6 +116,9 @@ def cmd_detect(args):
             raise
         raise DomainError(f"{too_small}: {exc}") from None
     if not math.isfinite(result.log_score):
+        # A seed without edges has zero volume, which no N can make finite.
+        if graph.degree(seed) == 0:
+            raise DomainError(f"seed {args.seed} has no edges: no candidate has a finite score")
         raise DomainError(f"{too_small}: no candidate has a finite score")
     st = result.stats
     cond = stats_conductance(st)

@@ -76,8 +76,7 @@ class LocalDcbmState(NamedTuple):
 
     theta_d is the shared degree scale, the root of the bound's slope. The
     rate factors at their optimum given it are Gamma(a_in, s_in) and
-    Gamma(a_out, s_out), held as four floats; lambda_in and lambda_out
-    build the validated GammaParams when read. iterations counts the root's
+    Gamma(a_out, s_out), held as four floats. iterations counts the root's
     Newton or bisection steps, and converged is False only when the step
     cap stopped it first. A named tuple, so the search builds one per
     candidate cheaply.
@@ -95,14 +94,6 @@ class LocalDcbmState(NamedTuple):
     degenerate: bool = False
     converged: bool = True
     iterations: int = 0
-
-    @property
-    def lambda_in(self):
-        return GammaParams(self.a_in, self.s_in)
-
-    @property
-    def lambda_out(self):
-        return GammaParams(self.a_out, self.s_out)
 
 
 def _pair_sums(assign, e_d):

@@ -30,8 +30,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .dcbm import prepare_partition, vb_bound, vb_update
 from .graph import dense_labels
-from .sbm import (SbmPriors, exact_edge_counts, log_partition_prior, sbm_log_likelihood,
-                  sbm_log_marginal)
+from .sbm import SbmPriors, exact_edge_counts, log_partition_prior, sbm_log_marginal
 
 _ACCEPT_EPS = 1e-9
 
@@ -90,7 +89,7 @@ def objective_value(graph, partition, objective, priors):
     prior = log_partition_prior(np.bincount(labels).tolist(), priors.gamma_exp)
     if objective == "gsbm":
         counts = exact_edge_counts(graph, labels)
-        return sbm_log_likelihood(counts, priors) + prior
+        return sbm_log_marginal(*counts, priors.alpha_plus, priors.alpha_minus) + prior
     if objective == "gdcbm":
         _, bound = _converge_vb(graph, labels, priors)
         return bound + prior

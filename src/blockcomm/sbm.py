@@ -4,17 +4,19 @@ approximation score (aSBM).
 Edges appear with probability lambda_in inside communities and lambda_out
 between them; Beta priors on both rates integrate out exactly, leaving a
 likelihood that depends on the partition only through four edge/non-edge
-counts. That likelihood is written once, as the scalar kernel
-sbm_log_marginal: six math.lgamma calls, the prior constant 2 log B(a+, a-)
-computed inline, and one domain check per Beta argument. The local score
-replaces the global counts with extrapolations from one candidate community
-under the assumption that the rest of the graph is tiled by k = N/n
-identical copies of it.
+counts. Those counts come from one piece of algebra, EdgeCounts.from_totals,
+and the likelihood is written once, as the scalar kernel sbm_log_marginal:
+six math.lgamma calls, the prior constant 2 log B(a+, a-) computed inline,
+and one domain check per Beta argument. The global objective feeds it the
+exact counts of a partition; the local score feeds it counts extrapolated
+from one candidate community under the assumption that the rest of the
+graph is tiled by k = N/n identical copies of it.
 """
 
 import math
 from dataclasses import dataclass
 from math import lgamma
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,20 +41,18 @@ class SbmPriors:
             raise ValueError("SBM prior parameters must be finite")
 
 
-@dataclass(frozen=True)
-class EdgeCounts:
-    """Within/between edge and non-edge totals.
+class EdgeCounts(NamedTuple):
+    """Within/between edge and non-edge totals, in sbm_log_marginal's
+    argument order.
 
     ai_plus: within edges; ai_minus: within non-edges; ab_plus: between
-    edges; ab_minus: between non-edges. degenerate marks counts that had to
-    be raised to zero and therefore describe no realizable graph.
+    edges; ab_minus: between non-edges.
     """
 
     ai_plus: float
     ai_minus: float
     ab_plus: float
     ab_minus: float
-    degenerate: bool = False
 
     @staticmethod
     def from_totals(within_edges, within_pairs, edges, pairs):
@@ -102,12 +102,6 @@ def sbm_log_marginal(ai_plus, ai_minus, ab_plus, ab_minus, alpha_plus, alpha_min
                      - lgamma(alpha_plus + alpha_minus)))
 
 
-def sbm_log_likelihood(counts, priors):
-    """sbm_log_marginal of an EdgeCounts under SbmPriors."""
-    return sbm_log_marginal(counts.ai_plus, counts.ai_minus, counts.ab_plus,
-                            counts.ab_minus, priors.alpha_plus, priors.alpha_minus)
-
-
 def log_partition_prior(community_sizes, gamma_exp):
     """Log of the power-law partition prior, in product form.
 
@@ -126,15 +120,15 @@ def log_partition_prior(community_sizes, gamma_exp):
     return total
 
 
-def asbm_tilde_counts(stats, N, M):
-    """Approximate global EdgeCounts from one community's statistics.
+def asbm_log_score(stats, N, M, priors):
+    """Local SBM log score of one candidate community.
 
-    Assumes the graph is tiled by k = N/n communities that all look like the
-    candidate. Negative extrapolated counts (possible for ab+ when k*w > M)
-    are raised to zero and the result flagged degenerate.
-
-    Returns:
-        (EdgeCounts, k).
+    The graph is taken as tiled by k = N/n communities that all look like the
+    candidate, which extrapolates the four global counts from its n and w.
+    The score is k log(gamma-1) - k gamma log(n) plus the marginal likelihood
+    of those counts. A negative count describes no graph (ab+ < 0 when
+    k*w > M: the community is denser than the tiling allows) and scores
+    -inf, so it can never win an argmax.
     """
     n, w = stats.n, stats.w
     if n < 1:
@@ -144,21 +138,9 @@ def asbm_tilde_counts(stats, N, M):
     if w > M:
         raise ValueError(f"community edge count {w} exceeds total edge count {M}")
     k = N / n
-    tilde = EdgeCounts.from_totals(k * w, k * n * (n - 1) / 2.0, M, N * (N - 1) / 2.0)
-    values = (tilde.ai_plus, tilde.ai_minus, tilde.ab_plus, tilde.ab_minus)
-    return EdgeCounts(*(max(v, 0.0) for v in values), degenerate=min(values) < 0.0), k
-
-
-def asbm_log_score(stats, N, M, priors):
-    """Local SBM log score of one candidate community.
-
-    k log(gamma-1) - k gamma log(n) plus the marginal likelihood of the
-    tilde counts. Degenerate tilde counts (the community is denser than the
-    uniform tiling allows) score -inf so they can never win an argmax.
-    """
-    counts, k = asbm_tilde_counts(stats, N, M)
-    if counts.degenerate:
+    counts = EdgeCounts.from_totals(k * w, k * n * (n - 1) / 2.0, M, N * (N - 1) / 2.0)
+    if min(counts) < 0.0:
         return float("-inf")
     g = priors.gamma_exp
-    prior_part = k * math.log(g - 1.0) - k * g * math.log(stats.n)
-    return prior_part + sbm_log_likelihood(counts, priors)
+    prior_part = k * math.log(g - 1.0) - k * g * math.log(n)
+    return prior_part + sbm_log_marginal(*counts, priors.alpha_plus, priors.alpha_minus)

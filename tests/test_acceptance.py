@@ -37,7 +37,7 @@ from blockcomm.sbm import (
     asbm_log_score,
     exact_edge_counts,
     log_partition_prior,
-    sbm_log_likelihood,
+    sbm_log_marginal,
 )
 
 from conftest import (
@@ -68,7 +68,7 @@ def test_criterion_01_exact_likelihood_matches_quadrature():
         for blocks in set_partitions(list(range(n))):
             a = assignment_of([set(b) for b in blocks], n)
             counts = exact_edge_counts(g, a)
-            exact = math.exp(sbm_log_likelihood(counts, priors))
+            exact = math.exp(sbm_log_marginal(*counts, priors.alpha_plus, priors.alpha_minus))
             quad = quadrature_likelihood(counts, priors)
             assert abs(exact - quad) / quad <= 1e-6
             checked += 1
@@ -87,7 +87,8 @@ def test_criterion_02_uniform_tiling_score_is_exact():
             stats = community_stats(g, set(range(m)))
             approx = asbm_log_score(stats, g.node_count, g.edge_count, priors)
             assignment = [i // m for i in range(k * m)]
-            exact = (sbm_log_likelihood(exact_edge_counts(g, assignment), priors)
+            exact = (sbm_log_marginal(*exact_edge_counts(g, assignment),
+                                      priors.alpha_plus, priors.alpha_minus)
                      + log_partition_prior([m] * k, priors.gamma_exp))
             assert approx == pytest.approx(exact, abs=1e-9)
 
@@ -142,8 +143,8 @@ def test_criterion_04_theta_d_fixed_point_residual():
         p_in = fit.k * (fit.v_hat ** 2 - fit.k_hat_sq)
         p_out = fit.m_hat ** 2 - fit.k * fit.v_hat ** 2
         slope = fit.m_hat * (1.0 - t / theta)
-        for lam, p in ((fit.lambda_in, p_in), (fit.lambda_out, p_out)):
-            slope -= lam.shape * p * t * t / (1.0 / theta + p * t * t / 2.0)
+        for a, p in ((fit.a_in, p_in), (fit.a_out, p_out)):
+            slope -= a * p * t * t / (1.0 / theta + p * t * t / 2.0)
         assert fit.converged
         assert 0.0 < t <= theta
         assert abs(slope) <= 1e-9 * fit.m_hat

@@ -80,6 +80,22 @@ class TestDetect:
         score = float(out[1].removeprefix("log_score="))
         assert math.isfinite(score) and score > -1e3
 
+    @pytest.mark.parametrize("formal_n", [[], ["--formal-n", "100"]])
+    def test_adcbm_seed_without_edges_is_named(self, in_tmp, capsys, formal_n):
+        # Node 1 appears only in a dropped self-loop, so its volume is zero
+        # and no candidate scores finitely under aDCBM, whatever N is. The
+        # error names the seed, not a --formal-n flag (once "--formal-n None
+        # is too small for seed 1").
+        with open("g.edges", "w") as fh:
+            fh.write("0 2\n2 3\n0 3\n1 1\n")
+        with pytest.warns(UserWarning):
+            rc = cli.main(["detect", "--graph", "g.edges", "--seed", "1",
+                           "--method", "adcbm", *formal_n])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: seed 1 has no edges: no candidate has a finite score\n"
+        assert captured.out == ""
+
     def test_json_output(self, in_tmp, capsys):
         write_graph("g.edges", bridge_graph())
         rc = cli.main(["detect", "--graph", "g.edges", "--seed", "0",

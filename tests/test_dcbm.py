@@ -409,7 +409,7 @@ def slope(fit, t, theta):
     k, v_hat, m_hat = fit.k, fit.v_hat, fit.m_hat
     p_in = k * (v_hat**2 - fit.k_hat_sq)
     p_out = m_hat**2 - k * v_hat**2
-    a_in, a_out = fit.lambda_in.shape, fit.lambda_out.shape
+    a_in, a_out = fit.a_in, fit.a_out
     return (m_hat * (1.0 - t / theta)
             - a_in * p_in * t**2 / (1.0 / theta + p_in * t**2 / 2.0)
             - a_out * p_out * t**2 / (1.0 / theta + p_out * t**2 / 2.0))
@@ -421,7 +421,7 @@ def bound_at(fit, t, theta, alpha):
     p_in = k * (v_hat**2 - fit.k_hat_sq)
     p_out = m_hat**2 - k * v_hat**2
     total = m_hat * (math.log(t) - t / theta)
-    for a, p in ((fit.lambda_in.shape, p_in), (fit.lambda_out.shape, p_out)):
+    for a, p in ((fit.a_in, p_in), (fit.a_out, p_out)):
         total += math.lgamma(a) - a * math.log(1.0 / theta + p * t**2 / 2.0)
     return total - 2.0 * (math.lgamma(alpha) + alpha * math.log(theta))
 
@@ -462,8 +462,8 @@ class TestLocalFit:
         assert fit.v_hat == stats.v + stats.n
         assert fit.m_hat == 2.0 * g.edge_count + g.node_count
         assert fit.k == pytest.approx(2.0 * g.edge_count / stats.v)
-        assert fit.lambda_in.shape == pytest.approx(1.0 + fit.k * stats.w)
-        assert fit.lambda_out.shape == pytest.approx(1.0 + g.edge_count - fit.k * stats.w)
+        assert fit.a_in == pytest.approx(1.0 + fit.k * stats.w)
+        assert fit.a_out == pytest.approx(1.0 + g.edge_count - fit.k * stats.w)
 
     def test_singleton_seed(self):
         # An edgeless candidate keeps the prior shape on its within bucket,
@@ -472,7 +472,7 @@ class TestLocalFit:
         stats = community_stats(g, {0})
         fit = adcbm_local_fit(stats, g.node_count, g.edge_count, UNIFORM)
         assert fit.k == pytest.approx(2.0 * g.edge_count / g.degree(0))
-        assert fit.lambda_in.shape == UNIFORM.alpha
+        assert fit.a_in == UNIFORM.alpha
         assert fit.converged and not fit.degenerate
         score = adcbm_log_score(stats, g.node_count, g.edge_count, UNIFORM)
         assert math.isfinite(score)
@@ -494,8 +494,8 @@ class TestLocalFit:
                 1.0 / pri.theta
                 + (fit.m_hat**2 - fit.k * fit.v_hat**2) * td2 / 2.0
             )
-            assert fit.lambda_in.scale == pytest.approx(ti, rel=1e-12)
-            assert fit.lambda_out.scale == pytest.approx(tb, rel=1e-12)
+            assert fit.s_in == pytest.approx(ti, rel=1e-12)
+            assert fit.s_out == pytest.approx(tb, rel=1e-12)
 
     def test_deterministic(self):
         g = bridge_graph()
@@ -595,8 +595,8 @@ def inject_local(g, fit, priors):
     return VariationalState(
         priors.alpha + g.degrees.astype(float),
         np.full(g.node_count, fit.theta_d),
-        fit.lambda_in,
-        fit.lambda_out,
+        GammaParams(fit.a_in, fit.s_in),
+        GammaParams(fit.a_out, fit.s_out),
     )
 
 

@@ -1,11 +1,13 @@
 """Byte-identity pins of the local search, recorded before its candidate
-stats and local fit became named tuples.
+stats, local fit and aSBM counts became tuples and plain numbers.
 
 The detect goldens were recorded on a seeded planted DCBM graph: members,
-repr(log_score), every stats field, passes and restart_index. The local
-score is compared with == against a copy of the dataclass-based fit and
-bound it replaced (code verbatim, docstrings cut to one line), on random
-stats that include degenerate, edgeless, singleton and inconsistent ones.
+repr(log_score), every stats field, passes and restart_index. Each local
+score is compared with == against a copy of the code it replaced (code
+verbatim, docstrings cut to one line): the dataclass-based aDCBM fit and
+bound, and the aSBM score over a frozen EdgeCounts, its clamped tilde counts
+and the likelihood adapter. The random stats include degenerate, edgeless,
+singleton and inconsistent ones.
 """
 
 import math
@@ -27,6 +29,7 @@ from blockcomm.generators import PlantedSpec, sample_dcbm
 from blockcomm.graph import CommunityStats
 from blockcomm.local_search import SearchConfig, detect
 from blockcomm.rng import make_rng
+from blockcomm.sbm import SbmPriors, asbm_log_score, sbm_log_marginal
 
 
 # The reference: the fit, root and bound as they were before the change.
@@ -245,7 +248,8 @@ def test_score_equals_the_dataclass_fit_and_bound():
         fit, ref = adcbm_local_fit(stats, N, M, priors), ref_adcbm_local_fit(stats, N, M, priors)
         assert (fit.v_hat, fit.m_hat, fit.k_hat_sq, fit.theta_d, fit.k) == (
             ref.v_hat, ref.m_hat, ref.k_hat_sq, ref.theta_d, ref.k)
-        assert (fit.lambda_in, fit.lambda_out) == (ref.lambda_in, ref.lambda_out)
+        assert (fit.a_in, fit.s_in, fit.a_out, fit.s_out) == (
+            ref.lambda_in.shape, ref.lambda_in.scale, ref.lambda_out.shape, ref.lambda_out.scale)
         assert (fit.degenerate, fit.converged, fit.iterations) == (
             ref.degenerate, ref.converged, ref.iterations)
         if ref.degenerate:
@@ -256,3 +260,127 @@ def test_score_equals_the_dataclass_fit_and_bound():
         seen["edgeless"] += stats.w == 0
         seen["singleton"] += stats.n == 1
     assert min(seen.values()) >= 20, seen
+
+
+# The aSBM reference: the counts, tiling and adapter as they were before the
+# score moved to plain numbers.
+@dataclass(frozen=True)
+class RefEdgeCounts:
+    """Within/between edge and non-edge totals."""
+
+    ai_plus: float
+    ai_minus: float
+    ab_plus: float
+    ab_minus: float
+    degenerate: bool = False
+
+    @staticmethod
+    def from_totals(within_edges, within_pairs, edges, pairs):
+        """Counts of a partition from its within-community edge and pair totals."""
+        between_edges = edges - within_edges
+        return RefEdgeCounts(within_edges, within_pairs - within_edges, between_edges,
+                             pairs - within_pairs - between_edges)
+
+
+def ref_sbm_log_likelihood(counts, priors):
+    """sbm_log_marginal of an EdgeCounts under SbmPriors."""
+    return sbm_log_marginal(counts.ai_plus, counts.ai_minus, counts.ab_plus,
+                            counts.ab_minus, priors.alpha_plus, priors.alpha_minus)
+
+
+def ref_asbm_tilde_counts(stats, N, M):
+    """Approximate global EdgeCounts from one community's statistics."""
+    n, w = stats.n, stats.w
+    if n < 1:
+        raise ValueError("community must have at least one node")
+    if n > N:
+        raise ValueError(f"community size {n} exceeds total node count {N}")
+    if w > M:
+        raise ValueError(f"community edge count {w} exceeds total edge count {M}")
+    k = N / n
+    tilde = RefEdgeCounts.from_totals(k * w, k * n * (n - 1) / 2.0, M, N * (N - 1) / 2.0)
+    values = (tilde.ai_plus, tilde.ai_minus, tilde.ab_plus, tilde.ab_minus)
+    return RefEdgeCounts(*(max(v, 0.0) for v in values), degenerate=min(values) < 0.0), k
+
+
+def ref_asbm_log_score(stats, N, M, priors):
+    """Local SBM log score of one candidate community."""
+    counts, k = ref_asbm_tilde_counts(stats, N, M)
+    if counts.degenerate:
+        return float("-inf")
+    g = priors.gamma_exp
+    prior_part = k * math.log(g - 1.0) - k * g * math.log(stats.n)
+    return prior_part + ref_sbm_log_likelihood(counts, priors)
+
+
+ASBM_PRIORS = [SbmPriors(), SbmPriors(alpha_plus=0.3, alpha_minus=2.5)]
+
+
+def asbm_cases(count=1200):
+    """(stats, N, M, priors, kind) drawn from numpy seed 23.
+
+    Kinds: realizable tilings (N/n mostly fractional), singletons, tilings
+    denser than the graph (k w > M, so ab+ < 0, some barely), more within
+    edges than pairs (w > n(n-1)/2, so ai- < 0), more edges than the
+    between pairs hold (ab- < 0), and the three rejected inputs: an empty
+    community, one larger than the graph, and one with more edges.
+    """
+    rng = np.random.default_rng(23)
+    kinds = ["realizable"] * 4 + ["singleton", "dense", "inconsistent", "crowded",
+                                  "empty", "oversized", "edge-surplus"]
+    cases = []
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        priors = ASBM_PRIORS[i % 2]
+        if i % 4 >= 2:
+            priors = SbmPriors(priors.alpha_plus, priors.alpha_minus,
+                               gamma_exp=float(rng.uniform(1.05, 4.0)))
+        n = {"singleton": 1, "empty": 0}.get(kind, int(rng.integers(2, 60)))
+        pairs = n * (n - 1) // 2
+        w = int(rng.integers(0, pairs + 1))
+        if kind in ("dense", "edge-surplus"):
+            w = int(rng.integers(1, pairs + 1))
+        elif kind == "inconsistent":
+            w = pairs + int(rng.integers(1, 50))
+        N = int(rng.integers(max(n, 1) + 1, 5000))
+        k = N / max(n, 1)
+        # Between pairs of the tiling: N(N-1)/2 - k n(n-1)/2.
+        between = N * (N - n) / 2.0
+        M = k * w + float(rng.uniform(0.0, 0.9)) * min(20.0 * N, between)
+        if kind == "dense":
+            M = float(rng.uniform(w, k * w))
+            if i % 2 == 0:
+                # Within one edge of k w, where ab+ is barely negative.
+                M = max(w, k * w - float(rng.uniform(0.0, 1.0)))
+        elif kind == "crowded":
+            M = k * w + between + float(rng.uniform(1.0, 100.0))
+        elif kind == "oversized":
+            N = int(rng.integers(1, n))
+        elif kind == "edge-surplus":
+            M = float(rng.uniform(0.0, w))
+        if i % 3 == 0:
+            N = float(N)
+            if kind in ("realizable", "singleton", "inconsistent", "crowded"):
+                M = math.ceil(M)
+        cases.append((CommunityStats(n, w, 0, 0.0), N, M, priors, kind))
+    return cases
+
+
+def test_asbm_score_equals_the_dataclass_counts_and_adapter():
+    seen = {"raised": 0, "-inf": 0, "finite": 0, "singleton": 0, "fractional-k": 0}
+    for stats, N, M, priors, kind in asbm_cases():
+        want = outcome(ref_asbm_log_score, stats, N, M, priors)
+        got = outcome(asbm_log_score, stats, N, M, priors)
+        assert got == want, (stats, N, M, priors, kind)
+        if isinstance(want, str):
+            seen["raised"] += 1
+            assert kind in ("empty", "oversized", "edge-surplus"), (kind, want)
+        elif want == float("-inf"):
+            seen["-inf"] += 1
+            assert kind in ("dense", "inconsistent", "crowded"), kind
+        else:
+            seen["finite"] += 1
+            assert kind in ("realizable", "singleton"), kind
+            seen["singleton"] += stats.n == 1
+            seen["fractional-k"] += N % stats.n != 0
+    assert min(seen.values()) >= 100, seen

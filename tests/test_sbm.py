@@ -12,10 +12,9 @@ from blockcomm.sbm import (
     EdgeCounts,
     SbmPriors,
     asbm_log_score,
-    asbm_tilde_counts,
     exact_edge_counts,
     log_partition_prior,
-    sbm_log_likelihood,
+    sbm_log_marginal,
 )
 
 from conftest import (
@@ -95,15 +94,13 @@ class TestExactEdgeCounts:
 class TestSbmLogLikelihood:
     def test_small_counts(self):
         # B(2,3) = 1!2!/4! = 1/12 under uniform priors.
-        c = EdgeCounts(1, 2, 0, 0)
-        assert sbm_log_likelihood(c, UNIFORM) == pytest.approx(
+        assert sbm_log_marginal(1, 2, 0, 0, 1.0, 1.0) == pytest.approx(
             math.log(1.0 / 12.0), rel=1e-12
         )
 
     def test_two_clique_tiling_counts(self):
         # B(13,1) = 1/13 and B(2,16) = 1/(17*16) = 1/272.
-        c = EdgeCounts(12, 0, 1, 15)
-        assert sbm_log_likelihood(c, UNIFORM) == pytest.approx(
+        assert sbm_log_marginal(12, 0, 1, 15, 1.0, 1.0) == pytest.approx(
             -(math.log(13.0) + math.log(272.0)), rel=1e-12
         )
 
@@ -114,14 +111,14 @@ class TestSbmLogLikelihood:
             n = g.node_count
             part = [int(rng.integers(0, 3)) for _ in range(n)]
             c = exact_edge_counts(g, part)
-            val = math.exp(sbm_log_likelihood(c, UNIFORM))
+            val = math.exp(sbm_log_marginal(*c, 1.0, 1.0))
             ref = quadrature_likelihood(c, UNIFORM)
             assert val == pytest.approx(ref, rel=1e-9)
 
     def test_matches_quadrature_with_nonuniform_priors(self):
         pri = SbmPriors(alpha_plus=2.0, alpha_minus=3.0)
         c = EdgeCounts(4, 2, 1, 8)
-        val = math.exp(sbm_log_likelihood(c, pri))
+        val = math.exp(sbm_log_marginal(*c, 2.0, 3.0))
         ref = quadrature_likelihood(c, pri)
         assert val == pytest.approx(ref, rel=1e-9)
 
@@ -138,12 +135,12 @@ class TestSbmLogLikelihood:
             ai = sum(b for b, p in zip(bits, pairs) if p in within)
             ab = sum(b for b, p in zip(bits, pairs) if p not in within)
             c = EdgeCounts(ai, len(within) - ai, ab, len(pairs) - len(within) - ab)
-            total += math.exp(sbm_log_likelihood(c, UNIFORM))
+            total += math.exp(sbm_log_marginal(*c, 1.0, 1.0))
         assert total == pytest.approx(1.0, rel=1e-12)
 
 
 def reference_sbm_log_likelihood(counts, priors):
-    """sbm_log_likelihood as it was written over BetaParams and log_beta."""
+    """The likelihood as it was written over BetaParams and log_beta."""
     ap, am = priors.alpha_plus, priors.alpha_minus
     return (
         log_beta(BetaParams(ap + counts.ai_plus, am + counts.ai_minus))
@@ -163,24 +160,24 @@ class TestKernelMatchesReference:
         rng = make_rng(909)
         for _ in range(500):
             counts = EdgeCounts(*(int(x) for x in rng.integers(0, 10 ** rng.integers(1, 9), 4)))
-            assert sbm_log_likelihood(counts, priors) == reference_sbm_log_likelihood(
-                counts, priors)
+            assert sbm_log_marginal(*counts, priors.alpha_plus, priors.alpha_minus) == (
+                reference_sbm_log_likelihood(counts, priors))
 
     @pytest.mark.parametrize("priors", PRIORS)
     def test_tilde_counts(self, priors):
-        # Fractional k = N/n gives non-integer counts; M at least k w keeps
-        # the tiling realizable.
+        # The aSBM score's counts: fractional k = N/n gives non-integer
+        # counts; M at least k w keeps the tiling realizable.
         rng = make_rng(910)
         for _ in range(200):
             n = int(rng.integers(2, 40))
             w = int(rng.integers(1, n * (n - 1) // 2 + 1))
             N = int(rng.integers(n, 5000))
             M = math.ceil(N / n * w) + int(rng.integers(0, 20 * N))
-            counts, _ = asbm_tilde_counts(CommunityStats(n=n, w=w, v=0, sumsq_alpha_d=0.0),
-                                          N, M)
-            assert not counts.degenerate
-            assert sbm_log_likelihood(counts, priors) == reference_sbm_log_likelihood(
-                counts, priors)
+            k = N / n
+            counts = EdgeCounts.from_totals(k * w, k * n * (n - 1) / 2.0, M, N * (N - 1) / 2.0)
+            assert min(counts) >= 0.0
+            assert sbm_log_marginal(*counts, priors.alpha_plus, priors.alpha_minus) == (
+                reference_sbm_log_likelihood(counts, priors))
 
     @pytest.mark.parametrize("counts", [
         (-1, 2, 1, 8),
@@ -191,7 +188,7 @@ class TestKernelMatchesReference:
     ])
     def test_argument_outside_the_domain_raises(self, counts):
         with pytest.raises(ValueError, match="Beta parameter"):
-            sbm_log_likelihood(EdgeCounts(*counts), UNIFORM)
+            sbm_log_marginal(*counts, 1.0, 1.0)
 
 
 class TestLogPartitionPrior:
@@ -219,48 +216,49 @@ class TestLogPartitionPrior:
             log_partition_prior([0], 2.0)
 
 
+def tiled_score(n, k, counts, priors=UNIFORM):
+    """The aSBM score written out from a tiling's k and its four counts."""
+    g = priors.gamma_exp
+    return (k * math.log(g - 1.0) - k * g * math.log(n)
+            + sbm_log_marginal(*counts, priors.alpha_plus, priors.alpha_minus))
+
+
 class TestTildeCounts:
+    # The counts the local score extrapolates, k = N/n copies of the
+    # candidate, pinned through the score they produce.
+
     def test_bridge_clique(self):
         stats = CommunityStats(n=4, w=6, v=13, sumsq_alpha_d=0.0)
-        counts, k = asbm_tilde_counts(stats, N=8, M=13)
-        assert k == 2.0
-        assert (counts.ai_plus, counts.ai_minus, counts.ab_plus, counts.ab_minus) == (
-            12.0,
-            0.0,
-            1.0,
-            15.0,
-        )
-        assert not counts.degenerate
+        assert EdgeCounts.from_totals(2.0 * 6, 2.0 * 6, 13, 28.0) == (12.0, 0.0, 1.0, 15.0)
+        assert asbm_log_score(stats, N=8, M=13, priors=UNIFORM) == tiled_score(
+            4, 2.0, (12.0, 0.0, 1.0, 15.0))
 
     def test_fractional_k(self):
         stats = CommunityStats(n=4, w=5, v=12, sumsq_alpha_d=0.0)
-        counts, k = asbm_tilde_counts(stats, N=12, M=20)
-        assert k == 3.0
-        assert (counts.ai_plus, counts.ai_minus, counts.ab_plus, counts.ab_minus) == (
-            15.0,
-            3.0,
-            5.0,
-            43.0,
-        )
+        assert EdgeCounts.from_totals(3.0 * 5, 3.0 * 6, 20, 66.0) == (15.0, 3.0, 5.0, 43.0)
+        assert asbm_log_score(stats, N=12, M=20, priors=UNIFORM) == tiled_score(
+            4, 3.0, (15.0, 3.0, 5.0, 43.0))
+        # N/n = 14/4 = 3.5 copies.
+        assert asbm_log_score(stats, N=14, M=20, priors=UNIFORM) == tiled_score(
+            4, 3.5, (17.5, 3.5, 2.5, 67.5))
 
-    def test_negative_between_edges_clamped_and_flagged(self):
+    def test_negative_between_edges_score_minus_inf(self):
         # Tiling a dense clique across a sparse graph asks for more within
-        # edges than the graph holds.
+        # edges than the graph holds: ab+ = 30 - 25 * 6 < 0.
         stats = CommunityStats(n=4, w=6, v=12, sumsq_alpha_d=0.0)
-        counts, k = asbm_tilde_counts(stats, N=100, M=30)
-        assert k == 25.0
-        assert counts.degenerate
-        assert counts.ab_plus == 0.0
-        assert min(
-            counts.ai_plus, counts.ai_minus, counts.ab_plus, counts.ab_minus
-        ) >= 0.0
+        counts = EdgeCounts.from_totals(25.0 * 6, 25.0 * 6, 30, 4950.0)
+        assert counts.ab_plus == -120.0
+        assert min(counts.ai_plus, counts.ai_minus, counts.ab_minus) >= 0.0
+        assert asbm_log_score(stats, N=100, M=30, priors=UNIFORM) == float("-inf")
 
     def test_validation(self):
         st = CommunityStats(n=4, w=6, v=12, sumsq_alpha_d=0.0)
-        with pytest.raises(ValueError):
-            asbm_tilde_counts(st, N=3, M=100)
-        with pytest.raises(ValueError):
-            asbm_tilde_counts(st, N=100, M=5)
+        with pytest.raises(ValueError, match="exceeds total node count"):
+            asbm_log_score(st, N=3, M=100, priors=UNIFORM)
+        with pytest.raises(ValueError, match="exceeds total edge count"):
+            asbm_log_score(st, N=100, M=5, priors=UNIFORM)
+        with pytest.raises(ValueError, match="at least one node"):
+            asbm_log_score(st._replace(n=0), N=100, M=100, priors=UNIFORM)
 
 
 class TestAsbmLogScore:
@@ -284,7 +282,7 @@ class TestAsbmLogScore:
         stats = community_stats(g, members)
         local = asbm_log_score(stats, g.node_count, g.edge_count, UNIFORM)
         part = [i // m for i in range(k * m)]
-        exact = sbm_log_likelihood(exact_edge_counts(g, part), UNIFORM)
+        exact = sbm_log_marginal(*exact_edge_counts(g, part), 1.0, 1.0)
         exact += log_partition_prior([m] * k, UNIFORM.gamma_exp)
         assert local == pytest.approx(exact, abs=1e-9)
 
@@ -294,7 +292,7 @@ class TestAsbmLogScore:
         stats = community_stats(g, set(range(4)))
         local = asbm_log_score(stats, g.node_count, g.edge_count, pri)
         part = [i // 4 for i in range(12)]
-        exact = sbm_log_likelihood(exact_edge_counts(g, part), pri)
+        exact = sbm_log_marginal(*exact_edge_counts(g, part), 2.0, 3.0)
         exact += log_partition_prior([4, 4, 4], pri.gamma_exp)
         assert local == pytest.approx(exact, abs=1e-9)
 
