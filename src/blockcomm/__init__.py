@@ -16,7 +16,7 @@ from .graph import community_stats, add_node_delta
 from .distributions import GammaParams, BetaParams, log_gamma, digamma, log_beta, gamma_kl
 from .sbm import SbmPriors, EdgeCounts, exact_edge_counts, sbm_log_marginal
 from .sbm import log_partition_prior, asbm_log_score
-from .dcbm import DcbmPriors, VariationalState, LocalDcbmState
+from .dcbm import DcbmPriors, VariationalState, VbPartition, LocalDcbmState
 from .dcbm import vb_update, vb_bound, adcbm_local_fit
 from .dcbm import adcbm_log_score, formal_n_totals
 from .local_search import SearchConfig, DetectionResult, greedy_expand, detect

@@ -194,17 +194,22 @@ def _format_row(row, graph):
 
 def _external_detector(path, graph):
     """Detector stub replaying one precomputed community per sample line."""
-    with open(path) as fh:
-        lines = [line.split() for line in fh if line.strip()]
     sets = []
-    for toks in lines:
-        members = set()
-        for tok in toks:
-            ext = int(tok)
-            if ext not in graph.node_labels:
-                raise DomainError(f"external-results id {ext} not in the graph")
-            members.add(graph.node_labels[ext])
-        sets.append(members)
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            members = set()
+            for tok in line.split():
+                try:
+                    ext = int(tok)
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}: non-integer node id "
+                                     f"{tok!r}") from None
+                if ext not in graph.node_labels:
+                    raise DomainError(f"external-results id {ext} not in the graph")
+                members.add(graph.node_labels[ext])
+            sets.append(members)
     counter = {"i": 0}
 
     def detector(_graph, _seed, _rng):

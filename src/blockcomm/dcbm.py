@@ -7,8 +7,10 @@ fully factorized Gamma surrogate with conjugate shapes: alpha + deg_i for a
 node's degree factor, alpha + count for a rate factor. No shape falls below
 alpha, so every partition, edgeless buckets included, scores finitely.
 
-The global fit sweeps the factors by coordinate ascent and ends each sweep
-with a gauge step. Scaling every E[d_i] by c and both rate scales by 1/c^2
+The global fit sweeps the factors by coordinate ascent on a VbPartition,
+which holds the fixed inputs of one fit (the partition's labels and
+within-edge count, the conjugate degree shapes), and ends each sweep with a
+gauge step. Scaling every E[d_i] by c and both rate scales by 1/c^2
 leaves the likelihood terms unchanged and moves the bound by
 (N - 4) alpha ln c - c A - B / c^2, with A = sum E[d_i] / theta and
 B = (E[lambda_in] + E[lambda_out]) / theta; the step takes the maximiser,
@@ -21,6 +23,9 @@ both rate factors at their optimum the bound depends on theta_d alone; its
 maximiser is the unique root of a rational function F (the bound's slope
 in log theta_d), found by bracketed Newton steps, and the score is the
 bound there.
+
+Both fits hold each rate factor Gamma(a, s) as two plain floats, with
+E[lambda] = a s and E[log lambda] = psi(a) + ln s.
 """
 
 import math
@@ -30,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import psi
 
-from .distributions import GammaParams, gamma_kl, gamma_kl_shape_terms, gamma_kl_terms
+from .distributions import gamma_kl_shape_terms, gamma_kl_terms
 from .graph import dense_labels
 
 # Newton root solves (the global gauge step, the local bound's slope): steps
@@ -56,19 +61,20 @@ class DcbmPriors:
             raise ValueError("DCBM prior parameters must be finite")
 
 
-@dataclass
-class VariationalState:
+class VariationalState(NamedTuple):
     """Factorized Gamma surrogate for the global model.
 
-    alpha_d/theta_d: per-node shape and scale arrays for the degree factors
-    (the shapes are alpha + deg); lambda_in/lambda_out: shared
-    within/between rate factors.
+    theta_d: per-node scale array of the degree factors, whose shapes are
+    the conjugate alpha + deg a VbPartition holds. The within and between
+    rate factors are Gamma(a_in, s_in) and Gamma(a_out, s_out), held as
+    four floats like LocalDcbmState's.
     """
 
-    alpha_d: np.ndarray
     theta_d: np.ndarray
-    lambda_in: GammaParams
-    lambda_out: GammaParams
+    a_in: float
+    s_in: float
+    a_out: float
+    s_out: float
 
 
 class LocalDcbmState(NamedTuple):
@@ -108,40 +114,27 @@ def _pair_sums(assign, e_d):
 
 
 def initial_variational_state(graph, priors):
-    """Starting state: conjugate degree shapes, prior scales and rate factors."""
-    a = priors.alpha + graph.degrees.astype(float)
-    theta_d = np.full(graph.node_count, priors.theta)
-    lam = GammaParams(priors.alpha, priors.theta)
-    return VariationalState(a, theta_d, lam, lam)
+    """Starting state: prior degree scales and prior rate factors."""
+    alpha, theta = priors.alpha, priors.theta
+    return VariationalState(np.full(graph.node_count, theta), alpha, theta, alpha, theta)
 
 
 class VbPartition:
-    """A partition with everything vb_update and vb_bound derive from it alone.
+    """The fixed inputs of one global fit: a graph, a partition of it, priors.
 
-    Built by prepare_partition. vb_update and vb_bound take one wherever
-    they take a partition, so a fit that holds one partition for many
-    sweeps computes these once: the dense labels, the within-community edge
-    count, the starting state (its conjugate degree shapes are the shapes
-    every sweep sets), and psi and the Gamma-KL head of those shapes.
+    vb_update and vb_bound take one, so a fit that holds one partition for
+    many sweeps derives these once: the dense labels, the within-community
+    edge count, the conjugate degree shapes alpha + deg (every sweep's
+    shapes), and psi and the Gamma-KL head of those shapes.
     """
 
     def __init__(self, graph, partition, priors):
         self.graph, self.priors = graph, priors
         self.labels = dense_labels(partition, graph.node_count)
         self.within = graph.within_edges(self.labels)
-        self.start = initial_variational_state(graph, priors)
-        self.start.alpha_d.setflags(write=False)  # shared by every state of the fit
-        self.start_psi = psi(self.start.alpha_d)
-        self.start_kl_shape = gamma_kl_shape_terms(self.start.alpha_d, priors.alpha)
-
-
-def prepare_partition(graph, partition, priors):
-    """The VbPartition of partition on graph under priors (itself if it is one)."""
-    if isinstance(partition, VbPartition):
-        if partition.graph is graph and partition.priors == priors:
-            return partition
-        partition = partition.labels
-    return VbPartition(graph, partition, priors)
+        self.alpha_d = priors.alpha + graph.degrees.astype(float)
+        self.psi_d = psi(self.alpha_d)
+        self.kl_shape = gamma_kl_shape_terms(self.alpha_d, priors.alpha)
 
 
 def _gauge_scale(a, k, b):
@@ -160,8 +153,8 @@ def _gauge_scale(a, k, b):
     return c
 
 
-def vb_update(graph, partition, state, priors):
-    """One synchronous coordinate-ascent sweep, closed by a gauge step.
+def vb_update(fit, state):
+    """One synchronous coordinate-ascent sweep on fit, closed by a gauge step.
 
     Update order: per-node scales (from the pre-sweep degree means), then
     the within and the between rate factor (from the fresh degree means);
@@ -169,22 +162,20 @@ def vb_update(graph, partition, state, priors):
     The gauge step then scales every degree scale by c and both rate scales
     by 1/c^2, with c the bound's maximiser along that direction (see the
     module docstring). Per-node sums are formed from community aggregates
-    so a sweep costs O(N + M). partition may be a VbPartition.
+    so a sweep costs O(N + M).
 
     Raises:
         ValueError: if a scale denominator is not positive and finite.
     """
+    graph, alpha, theta = fit.graph, fit.priors.alpha, fit.priors.theta
     if graph.node_count == 0:
-        lam = GammaParams(priors.alpha, priors.theta)
-        return VariationalState(np.empty(0), np.empty(0), lam, lam)
-    fit = prepare_partition(graph, partition, priors)
+        return VariationalState(np.empty(0), alpha, theta, alpha, theta)
     assign = fit.labels
-    alpha, theta = priors.alpha, priors.theta
-    a_d = fit.start.alpha_d
+    a_d = fit.alpha_d
 
-    e_lambda_in = state.lambda_in.mean
-    e_lambda_out = state.lambda_out.mean
-    e_d_old = state.alpha_d * state.theta_d
+    e_lambda_in = state.a_in * state.s_in
+    e_lambda_out = state.a_out * state.s_out
+    e_d_old = a_d * state.theta_d
     n_comms = int(assign.max()) + 1
     s_old = np.bincount(assign, weights=e_d_old, minlength=n_comms)
     s_tot_old = float(e_d_old.sum())
@@ -206,41 +197,37 @@ def vb_update(graph, partition, state, priors):
     theta_out = 1.0 / (1.0 / theta + cross_pairs)
     c = _gauge_scale(float(e_d.sum()) / theta, (graph.node_count - 4) * alpha,
                      (a_in * theta_in + a_out * theta_out) / theta)
-    return VariationalState(a_d, theta_d * c, GammaParams(a_in, theta_in / (c * c)),
-                            GammaParams(a_out, theta_out / (c * c)))
+    return VariationalState(theta_d * c, a_in, theta_in / (c * c), a_out, theta_out / (c * c))
 
 
-def vb_bound(graph, partition, state, priors):
-    """Variational lower bound on the log marginal likelihood.
+def vb_bound(fit, state):
+    """Variational lower bound on the log marginal likelihood at state.
 
     Sum over pairs of a_ij (E[log d_i] + E[log d_j] + E[log lambda]) minus
     E[d_i] E[d_j] E[lambda], minus all KL divergences of surrogate factors
-    from their priors. Pair sums use per-community aggregates. partition may
-    be a VbPartition.
+    from their priors, with E[lambda] = a s and E[log lambda] = psi(a) +
+    ln s for a rate factor Gamma(a, s). Pair sums use per-community
+    aggregates of the VbPartition fit.
     """
+    graph, alpha, theta = fit.graph, fit.priors.alpha, fit.priors.theta
     if graph.node_count == 0:
         return 0.0
-    fit = prepare_partition(graph, partition, priors)
-    assign = fit.labels
-    prior = GammaParams(priors.alpha, priors.theta)
+    a_in, s_in, a_out, s_out = state.a_in, state.s_in, state.a_out, state.s_out
 
-    if state.alpha_d is fit.start.alpha_d:
-        psi_d, kl_shape = fit.start_psi, fit.start_kl_shape
-    else:
-        psi_d, kl_shape = psi(state.alpha_d), None
-    e_log_d = psi_d + np.log(state.theta_d)
+    e_log_d = fit.psi_d + np.log(state.theta_d)
     w_in = fit.within
     m = graph.edge_count
     edge_term = float((graph.degrees * e_log_d).sum())
-    edge_term += w_in * state.lambda_in.mean_log
-    edge_term += (m - w_in) * state.lambda_out.mean_log
+    edge_term += w_in * (float(psi(a_in)) + math.log(s_in))
+    edge_term += (m - w_in) * (float(psi(a_out)) + math.log(s_out))
 
-    same_pairs, cross_pairs = _pair_sums(assign, state.alpha_d * state.theta_d)
-    quad = state.lambda_in.mean * same_pairs + state.lambda_out.mean * cross_pairs
+    same_pairs, cross_pairs = _pair_sums(fit.labels, fit.alpha_d * state.theta_d)
+    quad = a_in * s_in * same_pairs + a_out * s_out * cross_pairs
 
-    kl = (gamma_kl(state.lambda_in, prior) + gamma_kl(state.lambda_out, prior)
-          + float(gamma_kl_terms(state.alpha_d, state.theta_d, prior.shape,
-                                 prior.scale, kl_shape).sum()))
+    kl = (float(gamma_kl_terms(a_in, s_in, alpha, theta))
+          + float(gamma_kl_terms(a_out, s_out, alpha, theta))
+          + float(gamma_kl_terms(fit.alpha_d, state.theta_d, alpha, theta,
+                                 fit.kl_shape).sum()))
     return edge_term - quad - kl
 
 
@@ -293,7 +280,7 @@ def adcbm_local_fit(stats, N, M, priors):
     finitely; the greedy search's first-step fallback leans on that.
 
     The search calls this once per distinct candidate, so it works on plain
-    floats and builds no GammaParams; it checks their domain itself.
+    floats and checks the rate factors' domain itself.
 
     Returns:
         LocalDcbmState; degenerate is set when the community is inconsistent
@@ -326,8 +313,10 @@ def adcbm_local_fit(stats, N, M, priors):
     s_out = 1.0 / (inv_t + p_out * td2 / 2.0)
     if not (0.0 < a_in < math.inf and 0.0 < s_in < math.inf
             and 0.0 < a_out < math.inf and 0.0 < s_out < math.inf):
-        # Outside the domain the checked form raises, naming the value.
-        GammaParams(a_in, s_in), GammaParams(a_out, s_out)
+        for name, value in (("shape", a_in), ("scale", s_in), ("shape", a_out),
+                            ("scale", s_out)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"Gamma {name} must be positive and finite, got {value}")
     return LocalDcbmState(v_hat, m_hat, k_sq, td, a_in, s_in, a_out, s_out, k,
                           converged=converged, iterations=steps)
 

@@ -9,8 +9,8 @@ they differ only in a small per-model gain that prices a move. The gSBM
 gain is exact, from the within-edge and within-pair totals. The gDCBM gain
 holds the variational surrogate fixed; it is refitted between sweeps, and
 a sweep whose refitted objective went down is rolled back. Each refit runs
-gauge-stepped VB sweeps (see dcbm) to their fixed point, and prepares its
-partition's invariants once for all of them.
+gauge-stepped VB sweeps (see dcbm) to their fixed point on one VbPartition,
+which derives the partition's fixed inputs once for all of them.
 
 A level whose moving phase stalls tries a coarser partition, proposed for
 both objectives through the scale-free SBM contrast: gSBM runs a greedy
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.special import psi
 
-from .dcbm import prepare_partition, vb_bound, vb_update
+from .dcbm import VbPartition, initial_variational_state, vb_bound, vb_update
 from .graph import dense_labels
 from .sbm import SbmPriors, exact_edge_counts, log_partition_prior, sbm_log_marginal
 
@@ -58,16 +59,16 @@ class Partition:
 def _converge_vb(graph, assignment, priors, tol=1e-8, max_sweeps=200):
     """Run vb_update sweeps until the bound stalls; returns (state, bound).
 
-    The partition is prepared once, so the sweeps share its invariants. A
+    One VbPartition holds the partition's fixed inputs for every sweep. A
     fit that reaches max_sweeps without meeting tol warns, giving the last
     bound change.
     """
-    fit = prepare_partition(graph, assignment, priors)
-    state = fit.start
-    bound = vb_bound(graph, fit, state, priors)
+    fit = VbPartition(graph, assignment, priors)
+    state = initial_variational_state(graph, priors)
+    bound = vb_bound(fit, state)
     for _ in range(max_sweeps):
-        state = vb_update(graph, fit, state, priors)
-        new_bound = vb_bound(graph, fit, state, priors)
+        state = vb_update(fit, state)
+        new_bound = vb_bound(fit, state)
         change, bound = new_bound - bound, new_bound
         if abs(change) < tol:
             break
@@ -218,9 +219,10 @@ class _FrozenDcbmGain:
 
     def __init__(self, graph, orig_to_super, comm, priors):
         state, self.bound = _converge_vb(graph, comm[orig_to_super], priors)
-        self.d_log = state.lambda_in.mean_log - state.lambda_out.mean_log
-        self.d_mean = state.lambda_in.mean - state.lambda_out.mean
-        e_d = state.alpha_d * state.theta_d
+        self.d_log = ((float(psi(state.a_in)) + math.log(state.s_in))
+                      - (float(psi(state.a_out)) + math.log(state.s_out)))
+        self.d_mean = state.a_in * state.s_in - state.a_out * state.s_out
+        e_d = (priors.alpha + graph.degrees.astype(float)) * state.theta_d
         s_u = np.bincount(orig_to_super, weights=e_d, minlength=len(comm))
         q_u = np.bincount(orig_to_super, weights=e_d * e_d, minlength=len(comm))
         self.s_u, self.q_u = s_u.tolist(), q_u.tolist()

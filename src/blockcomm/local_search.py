@@ -132,7 +132,7 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0, max_passes=100):
 
     Returns:
         DetectionResult. An isolated seed returns its singleton with a
-        warning instead of failing.
+        warning, naming its external id, instead of failing.
 
     Raises:
         ValueError: if seed is outside [0, N).
@@ -144,7 +144,8 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0, max_passes=100):
     score = scorer(stats)
     members = {seed}
     if graph.degree(seed) == 0:
-        warnings.warn(f"seed node {seed} is isolated; returning the singleton")
+        warnings.warn(f"seed node {graph.external_ids[seed]} is isolated; "
+                      "returning the singleton")
         return DetectionResult({seed}, score, stats, passes=0,
                                elapsed=time.perf_counter() - start)
 

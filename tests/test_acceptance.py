@@ -19,6 +19,7 @@ import pytest
 from blockcomm import cli
 from blockcomm.dcbm import (
     DcbmPriors,
+    VbPartition,
     adcbm_local_fit,
     adcbm_log_score,
     initial_variational_state,
@@ -103,19 +104,19 @@ def test_criterion_03_variational_sweeps_ascend():
     for _ in range(20):
         n = int(rng.integers(8, 51))
         g = Graph.from_edges(n, random_gnp(rng, n, 0.3))
-        assignment = rng.integers(0, 3, size=n)
+        fit = VbPartition(g, rng.integers(0, 3, size=n), priors)
         state = initial_variational_state(g, priors)
-        bound = vb_bound(g, assignment, state, priors)
+        bound = vb_bound(fit, state)
         for _ in range(50):
-            state = vb_update(g, assignment, state, priors)
-            new_bound = vb_bound(g, assignment, state, priors)
+            state = vb_update(fit, state)
+            new_bound = vb_bound(fit, state)
             assert new_bound - bound >= -1e-8
             bound = new_bound
         for i in range(n):
-            q = GammaParams(float(state.alpha_d[i]), float(state.theta_d[i]))
+            q = GammaParams(float(fit.alpha_d[i]), float(state.theta_d[i]))
             assert gamma_kl(q, prior) >= -1e-12
-        assert gamma_kl(state.lambda_in, prior) >= -1e-12
-        assert gamma_kl(state.lambda_out, prior) >= -1e-12
+        assert gamma_kl(GammaParams(state.a_in, state.s_in), prior) >= -1e-12
+        assert gamma_kl(GammaParams(state.a_out, state.s_out), prior) >= -1e-12
 
 
 def test_criterion_04_theta_d_fixed_point_residual():

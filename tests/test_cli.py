@@ -304,6 +304,17 @@ class TestEval:
         assert rc == 2
         assert "77" in capsys.readouterr().err
 
+    def test_external_results_bad_token_is_located(self, in_tmp, capsys):
+        write_cliques_fixture(in_tmp)
+        with open("ext.txt", "w") as fh:
+            fh.write("0 1 2 3\n\n4 x 6\n")
+        rc = cli.main(["eval", "--graph", "g.edges", "--communities", "g.cmty",
+                       "--method", "adcbm", "--samples", "1", "--rng-seed", "0",
+                       "--external-results", "ext.txt", "--out", "rows.tsv"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: ext.txt: line 3: non-integer node id 'x'\n")
+
     def test_pool_exhaustion_noted_in_manifest(self, in_tmp, capsys):
         write_cliques_fixture(in_tmp)
         rc = cli.main(["eval", "--graph", "g.edges", "--communities", "g.cmty",

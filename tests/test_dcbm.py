@@ -11,6 +11,7 @@ from blockcomm import dcbm
 from blockcomm.dcbm import (
     DcbmPriors,
     VariationalState,
+    VbPartition,
     adcbm_local_fit,
     adcbm_log_score,
     formal_n_totals,
@@ -50,37 +51,40 @@ def matched_copies(m, p=0.5):
     return Graph.from_edges(2 * m, edges)
 
 
+def degree_shapes(g, priors):
+    """The conjugate degree shapes alpha + deg."""
+    return priors.alpha + g.degrees.astype(float)
+
+
 def conjugate_sweep(g, assign, st, priors):
     """One vb_update sweep without its gauge step: the conjugate shapes
     alpha + deg and alpha + count, the scales, then the rate factors."""
     inv_t = 1.0 / priors.theta
-    e_d = st.alpha_d * st.theta_d
+    a_d = degree_shapes(g, priors)
+    e_d = a_d * st.theta_d
     s_c = np.bincount(assign, weights=e_d)
-    theta_d = 1.0 / (inv_t + st.lambda_in.mean * (s_c[assign] - e_d)
-                     + st.lambda_out.mean * (e_d.sum() - s_c[assign]))
-    e_d = st.alpha_d * theta_d
+    theta_d = 1.0 / (inv_t + st.a_in * st.s_in * (s_c[assign] - e_d)
+                     + st.a_out * st.s_out * (e_d.sum() - s_c[assign]))
+    e_d = a_d * theta_d
     s_c = np.bincount(assign, weights=e_d)
     q_c = np.bincount(assign, weights=e_d * e_d)
     same = float((s_c * s_c - q_c).sum()) / 2.0
     cross = (float(e_d.sum()) ** 2 - float((s_c * s_c).sum())) / 2.0
     w_in = g.within_edges(assign)
-    return VariationalState(
-        st.alpha_d, theta_d,
-        GammaParams(priors.alpha + w_in, 1.0 / (inv_t + same)),
-        GammaParams(priors.alpha + g.edge_count - w_in, 1.0 / (inv_t + cross)))
+    return VariationalState(theta_d, priors.alpha + w_in, 1.0 / (inv_t + same),
+                            priors.alpha + g.edge_count - w_in, 1.0 / (inv_t + cross))
 
 
 def converge_conjugate(g, part, priors, sweeps=5000, tol=1e-15):
     assign = np.asarray(part)
-    prior = GammaParams(priors.alpha, priors.theta)
-    st = VariationalState(priors.alpha + g.degrees.astype(float),
-                          np.full(g.node_count, priors.theta), prior, prior)
+    st = VariationalState(np.full(g.node_count, priors.theta), priors.alpha, priors.theta,
+                          priors.alpha, priors.theta)
     for _ in range(sweeps):
         new = conjugate_sweep(g, assign, st, priors)
         moved = max(
             float(np.abs(new.theta_d - st.theta_d).max()),
-            abs(new.lambda_in.scale - st.lambda_in.scale),
-            abs(new.lambda_out.scale - st.lambda_out.scale),
+            abs(new.s_in - st.s_in),
+            abs(new.s_out - st.s_out),
         )
         st = new
         if moved < tol:
@@ -89,13 +93,14 @@ def converge_conjugate(g, part, priors, sweeps=5000, tol=1e-15):
 
 
 def converge_global(g, part, priors, sweeps=5000, tol=1e-15):
+    fit = VbPartition(g, part, priors)
     st = initial_variational_state(g, priors)
     for _ in range(sweeps):
-        new = vb_update(g, part, st, priors)
+        new = vb_update(fit, st)
         moved = max(
             float(np.abs(new.theta_d - st.theta_d).max()),
-            abs(new.lambda_in.scale - st.lambda_in.scale),
-            abs(new.lambda_out.scale - st.lambda_out.scale),
+            abs(new.s_in - st.s_in),
+            abs(new.s_out - st.s_out),
         )
         st = new
         if moved < tol:
@@ -115,20 +120,21 @@ def direct_bound(g, part, st, priors):
             + a * (t - t0) / t0
         )
 
-    e_log_d = sps.psi(st.alpha_d) + np.log(st.theta_d)
-    e_d = st.alpha_d * st.theta_d
+    a_d = degree_shapes(g, priors)
+    e_log_d = sps.psi(a_d) + np.log(st.theta_d)
+    e_d = a_d * st.theta_d
     adj = [set(g.neighbors(i)) for i in range(g.node_count)]
     total = 0.0
     for i in range(g.node_count):
         for j in range(i + 1, g.node_count):
-            lam = st.lambda_in if part[i] == part[j] else st.lambda_out
-            e_log_lam = sps.psi(lam.shape) + math.log(lam.scale)
+            shape, scale = (st.a_in, st.s_in) if part[i] == part[j] else (st.a_out, st.s_out)
+            e_log_lam = sps.psi(shape) + math.log(scale)
             if j in adj[i]:
                 total += e_log_d[i] + e_log_d[j] + e_log_lam
-            total -= e_d[i] * e_d[j] * lam.shape * lam.scale
-    total -= kl(st.lambda_in.shape, st.lambda_in.scale, priors.alpha, priors.theta)
-    total -= kl(st.lambda_out.shape, st.lambda_out.scale, priors.alpha, priors.theta)
-    for a, t in zip(st.alpha_d, st.theta_d):
+            total -= e_d[i] * e_d[j] * shape * scale
+    total -= kl(st.a_in, st.s_in, priors.alpha, priors.theta)
+    total -= kl(st.a_out, st.s_out, priors.alpha, priors.theta)
+    for a, t in zip(a_d, st.theta_d):
         total -= kl(float(a), float(t), priors.alpha, priors.theta)
     return total
 
@@ -140,10 +146,7 @@ def positive_root(a, k, b):
 
 def gauged(st, c):
     """st with every degree scale times c and both rate scales over c^2."""
-    return VariationalState(
-        st.alpha_d, st.theta_d * c,
-        GammaParams(st.lambda_in.shape, st.lambda_in.scale / c**2),
-        GammaParams(st.lambda_out.shape, st.lambda_out.scale / c**2))
+    return st._replace(theta_d=st.theta_d * c, s_in=st.s_in / c**2, s_out=st.s_out / c**2)
 
 
 class TestPriors:
@@ -164,8 +167,9 @@ class TestVbUpdate:
     def test_triangle_one_sweep_exact(self):
         g = graph_from_edges(clique_edges(range(3)))
         pri = DcbmPriors(alpha=2.0, theta=1.0)
-        st = vb_update(g, [0, 0, 0], initial_variational_state(g, pri), pri)
-        assert st.alpha_d == pytest.approx([4.0, 4.0, 4.0])
+        fit = VbPartition(g, [0, 0, 0], pri)
+        st = vb_update(fit, initial_variational_state(g, pri))
+        assert fit.alpha_d == pytest.approx([4.0, 4.0, 4.0])
         # Before the gauge step: denominator 1/theta + E[lam_in] * (sum of
         # other degree means) = 1 + 2 * 8 = 17, so E[d] = 4/17 per node;
         # lambda_in = (2 + 3, 1 / (1 + 3 * 16/289)) = (5, 289/337) and
@@ -173,23 +177,23 @@ class TestVbUpdate:
         # - 2B = 0 with A = 12/17, (N - 4) alpha = -2, B = 1445/337 + 2.
         c = positive_root(12 / 17, -2.0, 1445 / 337 + 2.0)
         assert st.theta_d == pytest.approx([c / 17] * 3, rel=1e-12)
-        assert st.lambda_in.shape == 5.0
-        assert st.lambda_in.scale == pytest.approx(289 / 337 / c**2, rel=1e-12)
-        assert st.lambda_out.shape == 2.0
-        assert st.lambda_out.scale == pytest.approx(1 / c**2, rel=1e-12)
+        assert st.a_in == 5.0
+        assert st.s_in == pytest.approx(289 / 337 / c**2, rel=1e-12)
+        assert st.a_out == 2.0
+        assert st.s_out == pytest.approx(1 / c**2, rel=1e-12)
 
     def test_single_edge_one_sweep_exact(self):
         g = Graph.from_edges(2, [(0, 1)])
-        st = vb_update(g, [0, 0], initial_variational_state(g, UNIFORM), UNIFORM)
+        st = vb_update(VbPartition(g, [0, 0], UNIFORM), initial_variational_state(g, UNIFORM))
         # Before the gauge step: E[d] = 2 / (1 + 2) = 2/3 per node,
         # lambda_in = (2, 1 / (1 + 4/9)) = (2, 9/13), and lambda_out = (1, 1):
         # no between pair, and its shape keeps the prior's 1.
         c = positive_root(4 / 3, -2.0, 18 / 13 + 1.0)
         assert st.theta_d == pytest.approx([c / 3, c / 3], rel=1e-12)
-        assert st.lambda_in.shape == 2.0
-        assert st.lambda_in.scale == pytest.approx(9 / 13 / c**2, rel=1e-12)
-        assert st.lambda_out.shape == 1.0
-        assert st.lambda_out.scale == pytest.approx(1 / c**2, rel=1e-12)
+        assert st.a_in == 2.0
+        assert st.s_in == pytest.approx(9 / 13 / c**2, rel=1e-12)
+        assert st.a_out == 1.0
+        assert st.s_out == pytest.approx(1 / c**2, rel=1e-12)
 
     def test_gauge_step_maximises_the_bound_along_its_direction(self):
         rng = make_rng(19)
@@ -198,65 +202,74 @@ class TestVbUpdate:
         )
         part = rng.integers(0, 3, size=g.node_count)
         pri = DcbmPriors(alpha=1.3, theta=0.7)
+        fit = VbPartition(g, part, pri)
         st = initial_variational_state(g, pri)
         for _ in range(3):
-            st = vb_update(g, part, st, pri)
-            top = vb_bound(g, part, st, pri)
+            st = vb_update(fit, st)
+            top = vb_bound(fit, st)
             for c in (0.9, 0.999, 1.001, 1.1):
-                assert vb_bound(g, part, gauged(st, c), pri) < top
+                assert vb_bound(fit, gauged(st, c)) < top
 
     def test_degree_shapes_fixed_by_model(self):
+        # The degree shapes are the partition's alpha + deg, so a state
+        # holds only scales and the rate factors, whose shapes are the
+        # conjugate alpha + count after every sweep.
         rng = make_rng(31)
         g = graph_from_edges(
             [(i, j) for i in range(10) for j in range(i + 1, 10) if rng.random() < 0.4]
         )
         part = rng.integers(0, 3, size=g.node_count)
+        fit = VbPartition(g, part, UNIFORM)
+        assert fit.alpha_d == pytest.approx(UNIFORM.alpha + g.degrees)
+        assert VariationalState._fields == ("theta_d", "a_in", "s_in", "a_out", "s_out")
+        within = g.within_edges(part)
         st = initial_variational_state(g, UNIFORM)
         for _ in range(5):
-            st = vb_update(g, part, st, UNIFORM)
-            assert st.alpha_d == pytest.approx(UNIFORM.alpha + g.degrees)
+            st = vb_update(fit, st)
+            assert (st.a_in, st.a_out) == (UNIFORM.alpha + within,
+                                           UNIFORM.alpha + g.edge_count - within)
 
     def test_single_node_graph_stays_at_the_prior(self):
         # No pairs: the scales stay at the prior, and the gauge cubic
         # alpha (c^3 + 3 c^2 - 4) = alpha (c - 1) (c + 2)^2 has its root at 1.
         g = Graph.from_edges(1, [])
-        st = vb_update(g, [0], initial_variational_state(g, UNIFORM), UNIFORM)
-        assert st.alpha_d[0] == UNIFORM.alpha
+        fit = VbPartition(g, [0], UNIFORM)
+        st = vb_update(fit, initial_variational_state(g, UNIFORM))
+        assert fit.alpha_d[0] == UNIFORM.alpha
         assert st.theta_d[0] == pytest.approx(UNIFORM.theta, rel=1e-12)
-        for lam in (st.lambda_in, st.lambda_out):
-            assert lam.shape == UNIFORM.alpha
-            assert lam.scale == pytest.approx(UNIFORM.theta, rel=1e-12)
-        assert vb_bound(g, [0], st, UNIFORM) == pytest.approx(0.0, abs=1e-12)
+        for shape, scale in ((st.a_in, st.s_in), (st.a_out, st.s_out)):
+            assert shape == UNIFORM.alpha
+            assert scale == pytest.approx(UNIFORM.theta, rel=1e-12)
+        assert vb_bound(fit, st) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_node_graph(self):
         g = Graph(0, [])
-        st = vb_update(g, [], initial_variational_state(g, UNIFORM), UNIFORM)
-        assert len(st.alpha_d) == 0
-        assert vb_bound(g, [], st, UNIFORM) == 0.0
+        fit = VbPartition(g, [], UNIFORM)
+        st = vb_update(fit, initial_variational_state(g, UNIFORM))
+        assert len(st.theta_d) == 0
+        assert (st.a_in, st.s_in, st.a_out, st.s_out) == (1.0, 1.0, 1.0, 1.0)
+        assert vb_bound(fit, st) == 0.0
 
     def test_nonfinite_denominator_diagnosed(self):
         g = Graph.from_edges(2, [(0, 1)])
-        bad = VariationalState(
-            alpha_d=np.array([1.0, 1.0]),
-            theta_d=np.array([1.0, 1.0]),
-            lambda_in=GammaParams(1e308, 1e308),
-            lambda_out=GammaParams(1.0, 1.0),
-        )
+        bad = VariationalState(theta_d=np.array([1.0, 1.0]), a_in=1e308, s_in=1e308,
+                               a_out=1.0, s_out=1.0)
         with pytest.raises(ValueError, match="denominator"):
-            vb_update(g, [0, 0], bad, UNIFORM)
+            vb_update(VbPartition(g, [0, 0], UNIFORM), bad)
 
 
 class TestVbBound:
     def test_zero_node_graph_is_zero(self):
         g = Graph(0, [])
         st = initial_variational_state(g, UNIFORM)
-        assert vb_bound(g, [], st, UNIFORM) == 0.0
+        assert vb_bound(VbPartition(g, [], UNIFORM), st) == 0.0
 
     def test_single_edge_hand_evaluation(self):
         g = Graph.from_edges(2, [(0, 1)])
-        st = vb_update(g, [0, 0], initial_variational_state(g, UNIFORM), UNIFORM)
-        # State (see test_single_edge_one_sweep_exact): alpha_d = (2, 2),
-        # theta_d = (c/3, c/3), lambda_in = (2, 9/(13 c^2)) and
+        fit = VbPartition(g, [0, 0], UNIFORM)
+        st = vb_update(fit, initial_variational_state(g, UNIFORM))
+        # State (see test_single_edge_one_sweep_exact), with degree shapes
+        # (2, 2): theta_d = (c/3, c/3), lambda_in = (2, 9/(13 c^2)) and
         # lambda_out = (1, 1/c^2); each KL from Gamma(1, 1) is
         # (a - 1) psi(a) - lgamma(a) - ln t + a (t - 1).
         c = positive_root(4 / 3, -2.0, 18 / 13 + 1.0)
@@ -267,7 +280,7 @@ class TestVbBound:
         kl_in = sps.psi(2.0) - math.log(t_in) + 2 * (t_in - 1)
         kl_out = -math.log(t_out) + t_out - 1
         expect = edge - quad - (kl_in + kl_out + kl_d)
-        assert vb_bound(g, [0, 0], st, UNIFORM) == pytest.approx(expect, rel=1e-9)
+        assert vb_bound(fit, st) == pytest.approx(expect, rel=1e-9)
 
     def test_matches_direct_summation(self):
         rng = make_rng(57)
@@ -284,10 +297,11 @@ class TestVbBound:
             g = graph_from_edges(edges)
             part = rng.integers(0, 2, size=n)
             pri = DcbmPriors(alpha=1.3, theta=0.7)
+            fit = VbPartition(g, part, pri)
             st = initial_variational_state(g, pri)
             for _ in range(int(rng.integers(1, 4))):
-                st = vb_update(g, part, st, pri)
-            val = vb_bound(g, part, st, pri)
+                st = vb_update(fit, st)
+            val = vb_bound(fit, st)
             ref = direct_bound(g, part, st, pri)
             assert val == pytest.approx(ref, rel=1e-9)
 
@@ -297,7 +311,7 @@ class TestVbBound:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         part = [0, 0, 1, 1]
         st = converge_global(g, part, UNIFORM, sweeps=200, tol=1e-13)
-        bound = vb_bound(g, part, st, UNIFORM)
+        bound = vb_bound(VbPartition(g, part, UNIFORM), st)
 
         nprng = np.random.default_rng(2024)
         samples = 1_000_000
@@ -327,12 +341,12 @@ class TestVbBound:
 class TestAscent:
     def test_bridge_graph_ten_sweeps(self):
         g = bridge_graph()
-        part = [0] * 4 + [1] * 4
+        fit = VbPartition(g, [0] * 4 + [1] * 4, UNIFORM)
         st = initial_variational_state(g, UNIFORM)
-        prev = vb_bound(g, part, st, UNIFORM)
+        prev = vb_bound(fit, st)
         for _ in range(10):
-            st = vb_update(g, part, st, UNIFORM)
-            cur = vb_bound(g, part, st, UNIFORM)
+            st = vb_update(fit, st)
+            cur = vb_bound(fit, st)
             assert cur >= prev - 1e-8
             prev = cur
 
@@ -354,29 +368,30 @@ class TestAscent:
                     break
             g = Graph.from_edges(n, edges)
             for part in (rng.integers(0, 3, size=n), np.arange(n), np.zeros(n, dtype=int)):
+                fit = VbPartition(g, part, UNIFORM)
                 st = initial_variational_state(g, UNIFORM)
-                prev = vb_bound(g, part, st, UNIFORM)
+                prev = vb_bound(fit, st)
                 for _ in range(50):
-                    st = vb_update(g, part, st, UNIFORM)
-                    cur = vb_bound(g, part, st, UNIFORM)
+                    st = vb_update(fit, st)
+                    cur = vb_bound(fit, st)
                     assert cur >= prev - 1e-8
                     prev = cur
-                assert gamma_kl(st.lambda_in, prior) >= 0.0
-                assert gamma_kl(st.lambda_out, prior) >= 0.0
-                for a, t in zip(st.alpha_d, st.theta_d):
+                assert gamma_kl(GammaParams(st.a_in, st.s_in), prior) >= 0.0
+                assert gamma_kl(GammaParams(st.a_out, st.s_out), prior) >= 0.0
+                for a, t in zip(fit.alpha_d, st.theta_d):
                     assert gamma_kl(GammaParams(float(a), float(t)), prior) >= -1e-12
 
     def test_edgeless_within_partition_ascends(self):
         # No within edges: the within-rate shape keeps the prior's alpha,
         # and the sweeps ascend like on any other partition.
         g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
-        part = [0, 1, 0, 1, 0, 1]
+        fit = VbPartition(g, [0, 1, 0, 1, 0, 1], UNIFORM)
         st = initial_variational_state(g, UNIFORM)
-        prev = vb_bound(g, part, st, UNIFORM)
+        prev = vb_bound(fit, st)
         for _ in range(50):
-            st = vb_update(g, part, st, UNIFORM)
-            assert st.lambda_in.shape == UNIFORM.alpha
-            cur = vb_bound(g, part, st, UNIFORM)
+            st = vb_update(fit, st)
+            assert st.a_in == UNIFORM.alpha
+            cur = vb_bound(fit, st)
             assert cur >= prev - 1e-8
             prev = cur
         assert math.isfinite(prev)
@@ -399,7 +414,7 @@ class TestConvergeVbFixedPoint:
         else:
             g = matched_copies(8)
             part = np.arange(g.node_count) // 8
-        ref = vb_bound(g, part, converge_conjugate(g, part, UNIFORM), UNIFORM)
+        ref = vb_bound(VbPartition(g, part, UNIFORM), converge_conjugate(g, part, UNIFORM))
         _, bound = _converge_vb(g, part, UNIFORM)
         assert bound == pytest.approx(ref, rel=1e-9)
 
@@ -589,15 +604,12 @@ class TestSlopeRoot:
         assert max(steps) <= 6
 
 
-def inject_local(g, fit, priors):
-    """The global surrogate at the local fit: conjugate degree shapes
-    alpha + deg, the shared scale theta_d and the fit's rate factors."""
-    return VariationalState(
-        priors.alpha + g.degrees.astype(float),
-        np.full(g.node_count, fit.theta_d),
-        GammaParams(fit.a_in, fit.s_in),
-        GammaParams(fit.a_out, fit.s_out),
-    )
+def inject_local(g, fit):
+    """The global surrogate at the local fit: the shared scale theta_d and
+    the fit's rate factors (the degree shapes are the partition's conjugate
+    alpha + deg)."""
+    return VariationalState(np.full(g.node_count, fit.theta_d), fit.a_in, fit.s_in,
+                            fit.a_out, fit.s_out)
 
 
 def degree_constant(g, m_hat, priors):
@@ -634,7 +646,7 @@ class TestUniformGraphConsistency:
             g, fit.m_hat, pri
         )
         part = [i // m for i in range(N)]
-        vb = vb_bound(g, part, inject_local(g, fit, pri), pri)
+        vb = vb_bound(VbPartition(g, part, pri), inject_local(g, fit))
         assert vb == pytest.approx(local_total, abs=1e-8)
 
     @pytest.mark.parametrize("m", [4, 8, 16])
@@ -645,10 +657,11 @@ class TestUniformGraphConsistency:
         for g in (matched_cliques(m), matched_copies(m)):
             N, M = g.node_count, g.edge_count
             part = [i // m for i in range(N)]
-            conv = vb_bound(g, part, converge_conjugate(g, part, UNIFORM), UNIFORM)
+            conv = vb_bound(VbPartition(g, part, UNIFORM),
+                            converge_conjugate(g, part, UNIFORM))
             stats = community_stats(g, set(range(m)))
             fit = adcbm_local_fit(stats, N, M, UNIFORM)
-            inj = vb_bound(g, part, inject_local(g, fit, UNIFORM), UNIFORM)
+            inj = vb_bound(VbPartition(g, part, UNIFORM), inject_local(g, fit))
             assert inj <= conv + 1e-8
 
     @pytest.mark.parametrize("m", [4, 8, 16, 32])
@@ -660,7 +673,8 @@ class TestUniformGraphConsistency:
         for g, exact in ((matched_cliques(m), True), (matched_copies(m), False)):
             N, M = g.node_count, g.edge_count
             part = [i // m for i in range(N)]
-            conv = vb_bound(g, part, converge_conjugate(g, part, UNIFORM), UNIFORM)
+            conv = vb_bound(VbPartition(g, part, UNIFORM),
+                            converge_conjugate(g, part, UNIFORM))
             stats = community_stats(g, set(range(m)))
             fit = adcbm_local_fit(stats, N, M, UNIFORM)
             local_total = local_bound_value(fit, UNIFORM) + degree_constant(

@@ -1,6 +1,8 @@
 """Greedy seed expansion: argmax correctness, determinism, and locality."""
 
+import io
 import itertools
+import warnings
 from collections import Counter
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from blockcomm import local_search
 from blockcomm.dcbm import DcbmPriors
 from blockcomm.generators import PlantedSpec, sample_sbm
-from blockcomm.graph import Graph, community_stats
+from blockcomm.graph import Graph, community_stats, load_edge_list
 from blockcomm.local_search import (
     DetectionResult,
     SearchConfig,
@@ -203,6 +205,20 @@ class TestBoundaries:
         with pytest.warns(UserWarning, match="isolated"):
             res = greedy_expand(g, 4, scorer, derived_rng(0, 0), alpha=alpha)
         assert res.members == {4}
+
+    def test_isolated_seed_is_named_by_its_external_id(self):
+        # Node 1 appears only in a dropped self-loop, so it is isolated and
+        # its dense index, 3, is that of no node the file calls 3.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the dropped self-loop's summary
+            g = load_edge_list(io.StringIO("0 2\n2 3\n0 3\n1 1\n"))
+        seed = g.node_labels[1]
+        assert seed == 3 and g.degree(seed) == 0
+        cfg = SearchConfig(method="asbm", restarts=1, rng_seed=0)
+        scorer, alpha = make_scorer(g, cfg)
+        with pytest.warns(UserWarning, match="^seed node 1 is isolated"):
+            res = greedy_expand(g, seed, scorer, derived_rng(0, 0), alpha=alpha)
+        assert res.members == {seed}
 
     def test_max_passes_cap(self):
         g = disjoint_cliques(2, 5)

@@ -4,7 +4,8 @@ bench/layers.py lists the (module, function) pairs a traced run wraps. A
 name that no longer resolves is only counted in `trace.phases_absent` and
 its per-layer metrics read 0, so a rename would otherwise pass unnoticed.
 Its hooks read fields of the returned values, so those are checked too.
-A traced detect checks that the wrappers see the local search's calls.
+A traced detect checks that the wrappers see the local search's calls, and
+a traced gDCBM Louvain those of the global phases and VB sweeps.
 bench/layers.py and bench/tracing.py are loaded by path and not edited
 here.
 """
@@ -19,6 +20,7 @@ import pytest
 
 from blockcomm.dcbm import DcbmPriors, adcbm_local_fit
 from blockcomm.generators import PlantedSpec, sample_sbm
+from blockcomm.global_search import louvain
 from blockcomm.graph import CommunityStats
 from blockcomm.local_search import SearchConfig, detect
 from blockcomm.rng import make_rng
@@ -75,3 +77,22 @@ def test_traced_detect_counts_the_local_layers(method):
     assert calls[score] > 0
     if method == "adcbm":
         assert calls["dcbm.adcbm_local_fit"] == calls[score]
+
+
+def test_traced_gdcbm_louvain_counts_the_global_vb_layers():
+    # A traced gDCBM Louvain reaches every global phase through the
+    # module attributes, and each fit makes one vb_bound call at its start
+    # plus one per vb_update sweep.
+    tracing, layers = load_bench("tracing"), load_bench("layers")
+    spec = PlantedSpec(communities=4, size=10, lambda_in=0.5, lambda_out=0.05)
+    graph, _ = sample_sbm(spec, make_rng(2))
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer, layers.TARGETS) as absent:
+        louvain(graph, "gdcbm", DcbmPriors(), make_rng(0))
+    assert absent == []
+    calls = {key: stats.calls for key, stats in tracer.stats.items()}
+    assert calls["global_search.move_phase_gdcbm"] > 0
+    assert calls["global_search.move_phase_gsbm"] > 0
+    fits, sweeps = calls["global_search.converge_vb"], calls["dcbm.vb_update"]
+    assert fits > 0 and sweeps > fits
+    assert calls["dcbm.vb_bound"] == sweeps + fits
