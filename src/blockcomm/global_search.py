@@ -6,11 +6,15 @@ Two phases alternate: local moving and aggregation into a community graph
 Both objectives share one moving sweep (each node greedily joins the
 neighboring community, or a fresh singleton, with the best objective gain);
 they differ only in a small per-model gain that prices a move. The gSBM
-gain is exact, from the within-edge and within-pair totals. The gDCBM gain
-holds the variational surrogate fixed; it is refitted between sweeps, and
-a sweep whose refitted objective went down is rolled back. Each refit runs
-gauge-stepped VB sweeps (see dcbm) to their fixed point on one VbPartition,
-which derives the partition's fixed inputs once for all of them.
+gain is exact, from the within-edge and within-pair totals and the one
+likelihood kernel sbm_log_marginal; a change depends only on the totals
+and its shift of them, so each distinct shift is priced once between
+applied changes. The gDCBM gain holds the variational surrogate fixed; it
+is refitted between sweeps, and a sweep whose refitted objective went down
+is rolled back. Each refit runs gauge-stepped VB sweeps (see dcbm) to their
+fixed point on one VbPartition, which derives the partition's fixed inputs
+once for all of them. A louvain call keeps its fits by dense labelling, so
+the partition a level ends on is not fitted again when the next one starts.
 
 A level whose moving phase stalls tries a coarser partition, proposed for
 both objectives through the scale-free SBM contrast: gSBM runs a greedy
@@ -78,6 +82,26 @@ def _converge_vb(graph, assignment, priors, tol=1e-8, max_sweeps=200):
     return state, bound
 
 
+class _VbFits:
+    """The surrogate fits of one louvain call, by dense labelling.
+
+    _converge_vb starts every fit from initial_variational_state, so its
+    (state, bound) is a pure function of the graph, the dense labels and the
+    priors: a labelling fitted before is returned as it was fitted.
+    """
+
+    def __init__(self, graph, priors):
+        self.graph, self.priors = graph, priors
+        self.done = {}
+
+    def fit(self, assignment):
+        labels = dense_labels(assignment, self.graph.node_count)
+        key = labels.tobytes()
+        if key not in self.done:
+            self.done[key] = _converge_vb(self.graph, labels, self.priors)
+        return self.done[key]
+
+
 def objective_value(graph, partition, objective, priors):
     """Objective of a full partition.
 
@@ -86,13 +110,18 @@ def objective_value(graph, partition, objective, priors):
     sweeps) plus the partition prior.
     """
     assignment = partition.assignment if isinstance(partition, Partition) else partition
+    return _objective(graph, assignment, objective, priors, _VbFits(graph, priors))
+
+
+def _objective(graph, assignment, objective, priors, fits):
+    """objective_value of an assignment, taking a gDCBM fit from fits."""
     labels = dense_labels(assignment, graph.node_count)
     prior = log_partition_prior(np.bincount(labels).tolist(), priors.gamma_exp)
     if objective == "gsbm":
         counts = exact_edge_counts(graph, labels)
         return sbm_log_marginal(*counts, priors.alpha_plus, priors.alpha_minus) + prior
     if objective == "gdcbm":
-        _, bound = _converge_vb(graph, labels, priors)
+        _, bound = fits.fit(labels)
         return bound + prior
     raise ValueError(f"unknown objective {objective!r}; expected 'gsbm' or 'gdcbm'")
 
@@ -165,8 +194,11 @@ class _SbmGain:
     """Exact SBM log-likelihood change of a move or a merge.
 
     Tracks the within-community edge and pair totals and the likelihood at
-    them; a change is the likelihood at the shifted totals minus the current
-    one. Sizes are in original nodes.
+    them; a change is the likelihood at the shifted totals, from the one
+    kernel sbm_log_marginal, minus the current one. A change depends only
+    on the totals and on its shift of them, so each distinct shift is
+    priced once between applied changes: the deltas are kept by shift and
+    dropped when a change is applied. Sizes are in original nodes.
     """
 
     def __init__(self, sup, m, total_pairs, priors):
@@ -175,16 +207,25 @@ class _SbmGain:
         self.ai = sum(sup.internal)
         self.wp = sum(_pairs(s) for s in sup.size)
         self.lik = self._lik(0, 0)
+        self.deltas = {}  # (d_ai, d_wp) -> change, at the current totals
 
     def _lik(self, d_ai, d_wp):
         ai, wp = self.ai + d_ai, self.wp + d_wp
         ab = self.m - ai
         return sbm_log_marginal(ai, wp - ai, ab, self.total_pairs - wp - ab, self.ap, self.am)
 
+    def _delta(self, d_ai, d_wp):
+        key = (d_ai, d_wp)
+        delta = self.deltas.get(key)
+        if delta is None:
+            delta = self.deltas[key] = self._lik(d_ai, d_wp) - self.lik
+        return delta
+
     def _apply(self, d_ai, d_wp):
         self.ai += d_ai
         self.wp += d_wp
         self.lik = self._lik(0, 0)
+        self.deltas = {}
 
     def move(self, u, a, b, d_e, s_u, s_a, s_b):
         """Change when super-node u (size s_u) leaves community a for b.
@@ -192,14 +233,14 @@ class _SbmGain:
         Within pairs change by pairs(s_a - s_u) - pairs(s_a) + pairs(s_b +
         s_u) - pairs(s_b), which is the integer s_u * (s_b + s_u - s_a).
         """
-        return self._lik(d_e, s_u * (s_b + s_u - s_a)) - self.lik
+        return self._delta(d_e, s_u * (s_b + s_u - s_a))
 
     def apply_move(self, u, a, b, d_e, s_u, s_a, s_b):
         self._apply(d_e, s_u * (s_b + s_u - s_a))
 
     def merge(self, a, b, e_ab, s_a, s_b):
         """Change when communities a and b, joined by e_ab edges, merge."""
-        return self._lik(e_ab, s_a * s_b) - self.lik
+        return self._delta(e_ab, s_a * s_b)
 
     def apply_merge(self, a, b, e_ab, s_a, s_b):
         self._apply(e_ab, s_a * s_b)
@@ -208,17 +249,19 @@ class _SbmGain:
 class _FrozenDcbmGain:
     """gDCBM bound change of a single-node move under a frozen surrogate.
 
-    Fits the surrogate on the partition comm[orig_to_super]; bound is the
-    fitted bound. With the factors frozen, the bound gains d_log =
-    E[log lambda_in] - E[log lambda_out] per within-community edge and
-    loses d_mean = E[lambda_in] - E[lambda_out] per unit of
-    within-community sum of E[d_i] E[d_j], tracked through per-super-node
-    and per-community sums of E[d] and E[d]^2. Both rate shapes are at
-    least alpha, so the moments are finite at every partition.
+    Fits the surrogate on the partition comm[orig_to_super], or takes the
+    fit from fits (a _VbFits) when given; bound is the fitted bound. With
+    the factors frozen, the bound gains d_log = E[log lambda_in] -
+    E[log lambda_out] per within-community edge and loses d_mean =
+    E[lambda_in] - E[lambda_out] per unit of within-community sum of
+    E[d_i] E[d_j], tracked through per-super-node and per-community sums of
+    E[d] and E[d]^2. Both rate shapes are at least alpha, so the moments
+    are finite at every partition.
     """
 
-    def __init__(self, graph, orig_to_super, comm, priors):
-        state, self.bound = _converge_vb(graph, comm[orig_to_super], priors)
+    def __init__(self, graph, orig_to_super, comm, priors, fits=None):
+        fits = fits or _VbFits(graph, priors)
+        state, self.bound = fits.fit(comm[orig_to_super])
         self.d_log = ((float(psi(state.a_in)) + math.log(state.s_in))
                       - (float(psi(state.a_out)) + math.log(state.s_out)))
         self.d_mean = state.a_in * state.s_in - state.a_out * state.s_out
@@ -317,25 +360,26 @@ def _move_phase_gsbm(sup, m, total_pairs, priors, rng, audit=None):
     return comm, improved, start
 
 
-def _move_phase_gdcbm(graph, sup, orig_to_super, priors, rng):
+def _move_phase_gdcbm(graph, sup, orig_to_super, priors, rng, fits):
     """Local moving under the frozen gDCBM gain, refitting between sweeps.
 
-    Each sweep runs at the surrogate fitted before it. The sweep is kept
-    only if the refitted objective improved; otherwise its moves are rolled
-    back and the phase ends. Returns (community array over super-nodes,
-    improved flag, objective of the starting partition).
+    Each sweep runs at the surrogate fitted before it, taken from fits (a
+    _VbFits). The sweep is kept only if the refitted objective improved;
+    otherwise its moves are rolled back and the phase ends. Returns
+    (community array over super-nodes, improved flag, objective of the
+    starting partition).
     """
     comm = np.arange(sup.n, dtype=np.int64)
     csize = dict(enumerate(sup.size))
     prior = _PriorTracker(priors.gamma_exp, sup.size)
-    gain = _FrozenDcbmGain(graph, orig_to_super, comm, priors)
+    gain = _FrozenDcbmGain(graph, orig_to_super, comm, priors, fits)
     start = obj_prev = gain.bound + prior.total
     improved = False
     while True:
         snapshot = comm.copy()
         if not _sweep(sup, comm, csize, prior, gain, rng):
             break
-        gain = _FrozenDcbmGain(graph, orig_to_super, comm, priors)
+        gain = _FrozenDcbmGain(graph, orig_to_super, comm, priors, fits)
         obj_new = gain.bound + prior.total
         if obj_new <= obj_prev + _ACCEPT_EPS:
             return snapshot, improved, start
@@ -402,7 +446,7 @@ def _resolve_merges(n, ops):
     return connected_components(merged, directed=False)[1]
 
 
-def _merge_bootstrap(graph, sup, orig_to_super, objective, priors, cur, rng):
+def _merge_bootstrap(graph, sup, orig_to_super, objective, priors, cur, rng, fits):
     """Escape a stalled moving phase by adopting a better coarser partition.
 
     Both objectives propose through the SBM contrast. For gsbm the greedy
@@ -413,7 +457,8 @@ def _merge_bootstrap(graph, sup, orig_to_super, objective, priors, cur, rng):
     does the scan, priced by that SBM gain, look for one (single moves
     cannot pay the prior's cost of a pair on small dense graphs). Either way
     the candidate is adopted only when its true objective beats cur, the
-    objective of the current partition.
+    objective of the current partition; a gDCBM candidate's fit is taken
+    from fits (a _VbFits), where the next level finds it.
     """
     m, total_pairs = graph.edge_count, _pairs(graph.node_count)
     if objective == "gsbm":
@@ -427,7 +472,7 @@ def _merge_bootstrap(graph, sup, orig_to_super, objective, priors, cur, rng):
         if ops is None:
             return None
         comm = _resolve_merges(sup.n, ops)
-    cand = objective_value(graph, comm[orig_to_super], objective, priors)
+    cand = _objective(graph, comm[orig_to_super], objective, priors, fits)
     if cand > cur + _ACCEPT_EPS:
         return comm
     return None
@@ -444,9 +489,10 @@ def louvain(graph, objective, priors, rng, max_levels=10):
     It proposes through the SBM contrast: for gSBM a greedy merge scan priced
     by the same gain (single moves cannot cross the prior's fixed merge cost
     on small dense graphs); for gDCBM the gSBM moving phase, drawing from
-    rng, and the SBM-priced scan only if no node moved. Stops when neither
-    phase improves, the graph collapses to one community, or max_levels is
-    reached.
+    rng, and the SBM-priced scan only if no node moved. The gDCBM surrogate
+    fits of the call are kept in one _VbFits, so no labelling is fitted
+    twice. Stops when neither phase improves, the graph collapses to one
+    community, or max_levels is reached.
     """
     if objective not in ("gsbm", "gdcbm"):
         raise ValueError(f"unknown objective {objective!r}; expected 'gsbm' or 'gdcbm'")
@@ -454,13 +500,16 @@ def louvain(graph, objective, priors, rng, max_levels=10):
     orig_to_super = np.arange(graph.node_count, dtype=np.int64)
     m = graph.edge_count
     total_pairs = _pairs(graph.node_count)
+    fits = _VbFits(graph, priors)
     for _ in range(max_levels):
         if objective == "gsbm":
             comm, improved, start = _move_phase_gsbm(sup, m, total_pairs, priors, rng)
         else:
-            comm, improved, start = _move_phase_gdcbm(graph, sup, orig_to_super, priors, rng)
+            comm, improved, start = _move_phase_gdcbm(graph, sup, orig_to_super, priors, rng,
+                                                      fits)
         if not improved:
-            merged = _merge_bootstrap(graph, sup, orig_to_super, objective, priors, start, rng)
+            merged = _merge_bootstrap(graph, sup, orig_to_super, objective, priors, start, rng,
+                                      fits)
             if merged is None:
                 break
             comm = merged

@@ -27,10 +27,11 @@ from blockcomm.global_search import (
     _SbmGain,
     _SuperGraph,
     _sweep,
+    _VbFits,
     louvain,
     objective_value,
 )
-from blockcomm.graph import Graph
+from blockcomm.graph import Graph, dense_labels
 from blockcomm.generators import PlantedSpec, sample_sbm
 from blockcomm.rng import make_rng
 from blockcomm.sbm import SbmPriors, log_partition_prior
@@ -447,7 +448,8 @@ class TestLouvain:
         _, moved, _ = _move_phase_gsbm(sup, g.edge_count, 28, sbm, make_rng(0))
         assert not moved
         start = objective_value(g, ids, "gdcbm", priors)
-        comm = _merge_bootstrap(g, sup, ids, "gdcbm", priors, start, make_rng(0))
+        comm = _merge_bootstrap(g, sup, ids, "gdcbm", priors, start, make_rng(0),
+                                _VbFits(g, priors))
         assert sorted(sorted(c) for c in Partition.from_assignment(comm).communities()) == [
             [0, 1, 2, 3], [4, 5, 6, 7]]
 
@@ -472,7 +474,8 @@ class TestLouvain:
 
         monkeypatch.setattr(global_search, "_scan_merges", no_scan)
         start = objective_value(g, ids, "gdcbm", priors)
-        comm = _merge_bootstrap(g, sup, ids, "gdcbm", priors, start, make_rng(3))
+        comm = _merge_bootstrap(g, sup, ids, "gdcbm", priors, start, make_rng(3),
+                                _VbFits(g, priors))
         assert np.array_equal(comm, moves)
 
     @pytest.mark.parametrize("graph, fits", [
@@ -490,8 +493,28 @@ class TestLouvain:
             return _converge_vb(*args, **kwargs)
 
         monkeypatch.setattr(global_search, "_converge_vb", counted)
-        _merge_bootstrap(graph, sup, ids, "gdcbm", priors, start, make_rng(0))
+        _merge_bootstrap(graph, sup, ids, "gdcbm", priors, start, make_rng(0),
+                         _VbFits(graph, priors))
         assert len(calls) == fits
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_gdcbm_fits_each_labelling_once(self, seed, monkeypatch):
+        # A fit is a pure function of the dense labels, so louvain keeps its
+        # fits and a level that starts at the partition the previous one
+        # ended on (its last refit, a rolled-back sweep's snapshot or an
+        # adopted bootstrap candidate) takes that fit instead of refitting.
+        fitted = []
+
+        def counted(graph, assignment, *args, **kwargs):
+            fitted.append(dense_labels(assignment, graph.node_count).tobytes())
+            return _converge_vb(graph, assignment, *args, **kwargs)
+
+        monkeypatch.setattr(global_search, "_converge_vb", counted)
+        spec = PlantedSpec(communities=6, size=20, lambda_in=0.3, lambda_out=0.03)
+        g, _ = sample_sbm(spec, make_rng(120))
+        louvain(g, "gdcbm", DcbmPriors(), make_rng(seed))
+        assert len(fitted) > 2
+        assert len(set(fitted)) == len(fitted)
 
     def test_planted_sbm_recovery(self):
         spec = PlantedSpec(communities=5, size=20, lambda_in=0.4, lambda_out=0.01)

@@ -4,8 +4,9 @@ bench/layers.py lists the (module, function) pairs a traced run wraps. A
 name that no longer resolves is only counted in `trace.phases_absent` and
 its per-layer metrics read 0, so a rename would otherwise pass unnoticed.
 Its hooks read fields of the returned values, so those are checked too.
-A traced detect checks that the wrappers see the local search's calls, and
-a traced gDCBM Louvain those of the global phases and VB sweeps.
+A traced detect checks that the wrappers see the local search's calls, a
+traced gSBM Louvain those of its global phases, and a traced gDCBM Louvain
+those of the global phases and VB sweeps.
 bench/layers.py and bench/tracing.py are loaded by path and not edited
 here.
 """
@@ -24,6 +25,7 @@ from blockcomm.global_search import louvain
 from blockcomm.graph import CommunityStats
 from blockcomm.local_search import SearchConfig, detect
 from blockcomm.rng import make_rng
+from blockcomm.sbm import SbmPriors
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -77,6 +79,21 @@ def test_traced_detect_counts_the_local_layers(method):
     assert calls[score] > 0
     if method == "adcbm":
         assert calls["dcbm.adcbm_local_fit"] == calls[score]
+
+
+def test_traced_gsbm_louvain_counts_the_global_phases():
+    # A traced gSBM Louvain reaches its moving phase, and at the level that
+    # stalls the merge bootstrap and its scan, through the module attributes.
+    tracing, layers = load_bench("tracing"), load_bench("layers")
+    spec = PlantedSpec(communities=4, size=10, lambda_in=0.5, lambda_out=0.05)
+    graph, _ = sample_sbm(spec, make_rng(2))
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer, layers.TARGETS) as absent:
+        louvain(graph, "gsbm", SbmPriors(), make_rng(0))
+    assert absent == []
+    calls = {key: stats.calls for key, stats in tracer.stats.items()}
+    for phase in ("move_phase_gsbm", "merge_bootstrap", "scan_merges"):
+        assert calls[f"global_search.{phase}"] > 0
 
 
 def test_traced_gdcbm_louvain_counts_the_global_vb_layers():
