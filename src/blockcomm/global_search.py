@@ -4,17 +4,21 @@ posterior (gSBM) or the degree-corrected variational bound (gDCBM).
 Two phases alternate: local moving and aggregation into a community graph
 (a scipy CSR matrix of edge counts; each aggregation is one sparse product).
 Both objectives share one moving sweep (each node greedily joins the
-neighboring community, or a fresh singleton, with the best objective gain);
-they differ only in a small per-model gain that prices a move. The gSBM
-gain is exact, from the within-edge and within-pair totals and the one
-likelihood kernel sbm_log_marginal; a change depends only on the totals
-and its shift of them, so each distinct shift is priced once between
-applied changes. The gDCBM gain holds the variational surrogate fixed; it
-is refitted between sweeps, and a sweep whose refitted objective went down
-is rolled back. Each refit runs gauge-stepped VB sweeps (see dcbm) to their
+neighboring community, or a fresh singleton, with the best objective gain;
+on the unweighted first level collections.Counter counts a node's links to
+each community); they differ only in a small per-model gain that prices a
+move. The gSBM gain is exact, from the within-edge and within-pair totals
+and the one likelihood kernel sbm_log_marginal; a change depends only on
+the totals and its shift of them, so each distinct shift is priced once
+between applied changes, and a node visit prices only the lowest id of
+each group of candidates with equal (links, size), which shift the totals
+alike. The gDCBM gain holds the variational surrogate fixed; it is
+refitted between sweeps, and a sweep whose refitted objective went down is
+rolled back. Each refit runs gauge-stepped VB sweeps (see dcbm) to their
 fixed point on one VbPartition, which derives the partition's fixed inputs
 once for all of them. A louvain call keeps its fits by dense labelling, so
-the partition a level ends on is not fitted again when the next one starts.
+the partition a level ends on is not fitted again when the next one
+starts, nor by objective_value on the Partition it returns.
 
 A level whose moving phase stalls tries a coarser partition, proposed for
 both objectives through the scale-free SBM contrast: gSBM runs a greedy
@@ -26,7 +30,8 @@ is higher.
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -42,10 +47,16 @@ _ACCEPT_EPS = 1e-9
 
 @dataclass(frozen=True)
 class Partition:
-    """Total assignment of nodes to dense community ids."""
+    """Total assignment of nodes to dense community ids.
+
+    A louvain result also holds the call's gDCBM surrogate fits (_fits, a
+    _VbFits; empty for gSBM), out of comparison and repr, so that
+    objective_value does not fit its labelling again.
+    """
 
     assignment: np.ndarray
     sizes: np.ndarray
+    _fits: object = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_assignment(assignment):
@@ -107,10 +118,17 @@ def objective_value(graph, partition, objective, priors):
 
     gSBM: exact marginal likelihood plus the partition prior. gDCBM: the
     variational bound after converging the surrogate (tol 1e-8, at most 200
-    sweeps) plus the partition prior.
+    sweeps) plus the partition prior. A Partition from louvain on the same
+    graph object with equal priors lends its fits, so a labelling that
+    louvain fitted is not fitted again.
     """
-    assignment = partition.assignment if isinstance(partition, Partition) else partition
-    return _objective(graph, assignment, objective, priors, _VbFits(graph, priors))
+    if isinstance(partition, Partition):
+        assignment, fits = partition.assignment, partition._fits
+    else:
+        assignment, fits = partition, None
+    if fits is None or fits.graph is not graph or fits.priors != priors:
+        fits = _VbFits(graph, priors)
+    return _objective(graph, assignment, objective, priors, fits)
 
 
 def _objective(graph, assignment, objective, priors, fits):
@@ -129,13 +147,15 @@ def _objective(graph, assignment, objective, priors, fits):
 class _SuperGraph:
     """Aggregated working graph of super-nodes (groups of original nodes)."""
 
-    __slots__ = ("n", "adj", "size", "internal")
+    __slots__ = ("n", "adj", "size", "internal", "indptr", "unit")
 
     def __init__(self, adj, size, internal):
         self.n = adj.shape[0]
         self.adj = adj            # symmetric CSR, edges between super-nodes, empty diagonal
         self.size = size          # original nodes per super-node
         self.internal = internal  # original edges inside each super-node
+        self.indptr = adj.indptr.tolist()          # row bounds, read once per node visit
+        self.unit = bool((adj.data == 1).all())  # one edge per linked pair (level 0)
 
     @staticmethod
     def from_graph(graph):
@@ -174,6 +194,8 @@ class _PriorTracker:
 
     term(s), log(gamma-1) - gamma log(s) and 0 for an empty community, is
     read from a table over every size up to the number of original nodes.
+    The sweep and the merge scan read the table directly, adding its terms
+    in the order move_delta and term do.
     """
 
     def __init__(self, gamma_exp, sizes):
@@ -289,36 +311,60 @@ class _FrozenDcbmGain:
 
 
 def _neighbor_comm_weights(sup, comm, u):
-    lo, hi = sup.adj.indptr[u], sup.adj.indptr[u + 1]
+    """Edges from super-node u to each community id, a dict in the order of
+    u's row (by neighbour id); empty for an isolated node.
+
+    With one edge per linked pair collections.Counter counts the row's
+    community ids in C; a weighted row sums its edge counts.
+    """
+    lo, hi = sup.indptr[u], sup.indptr[u + 1]
+    ids = comm[sup.adj.indices[lo:hi]].tolist()
+    if sup.unit:
+        return Counter(ids)
     wsum = {}
-    for c, wt in zip(comm[sup.adj.indices[lo:hi]].tolist(), sup.adj.data[lo:hi].tolist()):
+    for c, wt in zip(ids, sup.adj.data[lo:hi].tolist()):
         wsum[c] = wsum.get(c, 0) + wt
     return wsum
 
 
-def _sweep(sup, comm, csize, prior, gain, rng, on_move=None):
+def _sweep(sup, comm, csize, prior, gain, rng, on_move=None, _by_links_size=False):
     """One pass of greedy single-node moves in random order.
 
     Each super-node joins the neighboring community, or a fresh singleton,
-    whose gain plus prior change is largest, when that exceeds _ACCEPT_EPS.
+    whose gain plus prior change is largest, when that exceeds _ACCEPT_EPS;
+    of equal changes the first in id order wins, the fresh singleton last.
     comm, csize (original nodes per community id; a fresh community takes id
     len(csize)), prior and gain are updated in place, and on_move, if given,
     is called after every accepted move. Returns the number of moves.
+
+    _by_links_size is for a gain whose change depends on the target b only
+    through its links from the node and its size (the gSBM gain): candidates
+    with equal (links, size) then change the objective by the same bits, so
+    only the lowest id of each such group is priced, which picks the same
+    community as pricing them all. The fresh singleton is the group (0, 0).
     """
+    t = prior.table
+    size = sup.size
     moved = 0
-    for u in rng.permutation(sup.n):
-        u = int(u)
+    for u in rng.permutation(sup.n).tolist():
         a = int(comm[u])
-        s_u, s_a = sup.size[u], csize[a]
+        s_u, s_a = size[u], csize[a]
         wsum = _neighbor_comm_weights(sup, comm, u)
-        e_ua = wsum.get(a, 0)
-        candidates = sorted(c for c in wsum if c != a)
+        e_ua = wsum.pop(a, 0)
+        if _by_links_size:
+            first = {}
+            for b in sorted(wsum):
+                first.setdefault((wsum[b], csize[b]), b)
+            candidates = list(first.items())
+        else:
+            candidates = [((wsum[b], csize[b]), b) for b in sorted(wsum)]
         if s_a > s_u:
-            candidates.append(-1)  # fresh singleton community
+            candidates.append(((0, 0), -1))  # fresh singleton community
+        leave = t[s_a - s_u] - t[s_a]
         best = None
-        for b in candidates:
-            d_e, s_b = wsum.get(b, 0) - e_ua, csize.get(b, 0)
-            d_prior = prior.move_delta(s_a, s_b, s_u)
+        for (w_b, s_b), b in candidates:
+            d_e = w_b - e_ua
+            d_prior = leave + t[s_b + s_u] - t[s_b]
             delta = gain.move(u, a, b, d_e, s_u, s_a, s_b) + d_prior
             if best is None or delta > best[0]:
                 best = (delta, b, d_e, s_b, d_prior)
@@ -355,7 +401,7 @@ def _move_phase_gsbm(sup, m, total_pairs, priors, rng, audit=None):
     on_move = None if audit is None else (
         lambda: audit(comm.copy(), gain.lik + prior.total))
     improved = False
-    while _sweep(sup, comm, csize, prior, gain, rng, on_move):
+    while _sweep(sup, comm, csize, prior, gain, rng, on_move, _by_links_size=True):
         improved = True
     return comm, improved, start
 
@@ -397,10 +443,11 @@ def _scan_merges(sup, gain, prior):
     creating a two-node community, so a stalled moving phase can sit far
     below a coarser partition; the merge path walks through it if one exists.
 
-    A merge's delta is gain.merge(...) plus the change of prior.term over
-    the original-node sizes; gain.apply_merge advances the gain's state when
-    a merge is applied. Returns [(keep, absorb), ...] for the best
-    strictly-improving prefix, or None.
+    A merge's delta is gain.merge(...) plus the change of the prior's
+    per-community terms (prior.table) over the original-node sizes;
+    gain.apply_merge advances the gain's state when a merge is applied.
+    Returns [(keep, absorb), ...] for the best strictly-improving prefix, or
+    None.
     """
     n = sup.n
     own = np.arange(n)  # every super-node its own community
@@ -409,15 +456,16 @@ def _scan_merges(sup, gain, prior):
     ops = []
     cum = 0.0
     best_cum, best_len = 0.0, 0
+    t = prior.table
     while True:
         best = None
         for a in range(n):  # an absorbed community's weights are empty
+            s_a = size[a]
             for b, e_ab in weights[a].items():
                 if b <= a:
                     continue
-                d = (gain.merge(a, b, e_ab, size[a], size[b])
-                     + prior.term(size[a] + size[b])
-                     - prior.term(size[a]) - prior.term(size[b]))
+                s_b = size[b]
+                d = ((gain.merge(a, b, e_ab, s_a, s_b) + t[s_a + s_b]) - t[s_a]) - t[s_b]
                 if best is None or d > best[0]:
                     best = (d, a, b)
         if best is None:
@@ -490,12 +538,18 @@ def louvain(graph, objective, priors, rng, max_levels=10):
     by the same gain (single moves cannot cross the prior's fixed merge cost
     on small dense graphs); for gDCBM the gSBM moving phase, drawing from
     rng, and the SBM-priced scan only if no node moved. The gDCBM surrogate
-    fits of the call are kept in one _VbFits, so no labelling is fitted
-    twice. Stops when neither phase improves, the graph collapses to one
-    community, or max_levels is reached.
+    fits of the call are kept in one _VbFits, which the returned Partition
+    carries to objective_value, so no labelling is fitted twice. Stops when
+    neither phase improves, the graph collapses to one community, or
+    max_levels is reached.
+
+    Raises:
+        ValueError: for an unknown objective or max_levels below 1.
     """
     if objective not in ("gsbm", "gdcbm"):
         raise ValueError(f"unknown objective {objective!r}; expected 'gsbm' or 'gdcbm'")
+    if max_levels < 1:
+        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     sup = _SuperGraph.from_graph(graph)
     orig_to_super = np.arange(graph.node_count, dtype=np.int64)
     m = graph.edge_count
@@ -517,4 +571,5 @@ def louvain(graph, objective, priors, rng, max_levels=10):
         orig_to_super = dense[orig_to_super]
         if sup.n <= 1:
             break
-    return Partition.from_assignment(orig_to_super)
+    result = Partition.from_assignment(orig_to_super)
+    return Partition(result.assignment, result.sizes, fits)

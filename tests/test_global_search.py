@@ -516,6 +516,29 @@ class TestLouvain:
         assert len(fitted) > 2
         assert len(set(fitted)) == len(fitted)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_objective_value_takes_the_louvain_fits(self, seed, monkeypatch):
+        # The Partition a gDCBM louvain returns carries the call's fits, so
+        # objective_value on it fits no labelling again; the value equals a
+        # fresh fit of the bare assignment. Other priors fit afresh.
+        fitted = []
+
+        def counted(graph, assignment, *args, **kwargs):
+            fitted.append(dense_labels(assignment, graph.node_count).tobytes())
+            return _converge_vb(graph, assignment, *args, **kwargs)
+
+        monkeypatch.setattr(global_search, "_converge_vb", counted)
+        spec = PlantedSpec(communities=6, size=20, lambda_in=0.3, lambda_out=0.03)
+        g, _ = sample_sbm(spec, make_rng(120))
+        p = louvain(g, "gdcbm", DcbmPriors(), make_rng(seed))
+        value = objective_value(g, p, "gdcbm", DcbmPriors())
+        assert len(set(fitted)) == len(fitted)
+        count = len(fitted)
+        assert value == objective_value(g, p.assignment, "gdcbm", DcbmPriors())
+        assert len(fitted) == count + 1
+        objective_value(g, p, "gdcbm", DcbmPriors(alpha=2.0))
+        assert len(fitted) == count + 2
+
     def test_planted_sbm_recovery(self):
         spec = PlantedSpec(communities=5, size=20, lambda_in=0.4, lambda_out=0.01)
         priors = SbmPriors()
@@ -620,6 +643,12 @@ class TestLouvain:
             warnings.simplefilter("error")
             p = louvain(g, "gdcbm", DcbmPriors(), make_rng(7))
             objective_value(g, p, "gdcbm", DcbmPriors())
+
+    @pytest.mark.parametrize("max_levels", [0, -1])
+    def test_rejects_max_levels_below_one(self, max_levels):
+        g = disjoint_cliques(2, 4)
+        with pytest.raises(ValueError, match="max_levels must be >= 1"):
+            louvain(g, "gsbm", SbmPriors(), make_rng(0), max_levels=max_levels)
 
     def test_max_levels_one_still_valid(self):
         g = disjoint_cliques(2, 4)
