@@ -4,7 +4,8 @@ Commands: detect (seed expansion), global (Louvain partition), generate
 (planted samples), eval (protocol metrics), nsweep (resolution sweep).
 Every run writes a JSON manifest capturing the command, flags, rng seed,
 input checksum, and wall time. Exit codes: 0 success, 1 I/O or file-format
-problems, 2 usage or domain errors.
+problems, 2 usage or domain errors (an unknown node id in any input file
+among them).
 """
 
 import argparse
@@ -13,6 +14,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from . import __version__
@@ -20,8 +22,8 @@ from .dcbm import DcbmPriors
 from .evaluation import run_protocol, stats_conductance
 from .generators import PlantedSpec, sample_dcbm, sample_sbm
 from .global_search import louvain, objective_value
-from .graph import (load_communities, load_edge_list, write_communities,
-                    write_edge_list)
+from .graph import (UnknownNodeError, load_communities, load_edge_list,
+                    write_communities, write_edge_list)
 from .local_search import SearchConfig, detect
 from .rng import make_rng
 from .sbm import SbmPriors
@@ -79,9 +81,37 @@ def _write_manifest(path, command, args, graph_path, started, columns=None,
         fh.write("\n")
 
 
-def _load_graph(path):
-    with open(path) as fh:
-        return load_edge_list(fh)
+def _read(path, parse, *args, **kwargs):
+    """parse(the file at path, *args, **kwargs), with path before any error.
+
+    An unknown node id is a domain error (exit 2); any other malformed line
+    stays a ValueError (exit 1).
+    """
+    try:
+        with open(path) as fh:
+            return parse(fh, *args, **kwargs)
+    except UnknownNodeError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _graph_and_truths(args):
+    """The --graph and its --communities of at least --min-size nodes."""
+    graph = _read(args.graph, load_edge_list)
+    truths = _read(args.communities, load_communities, graph, min_size=args.min_size)
+    if not truths:
+        raise DomainError(f"no communities of size >= {args.min_size} in {args.communities}")
+    return graph, truths
+
+
+def _failure_notes(rows, prefix=""):
+    """One note per distinct sample error with its count, each also on stderr."""
+    notes = [f"{prefix}{count} failed sample(s): {error}"
+             for error, count in Counter(r.error for r in rows if r.error).items()]
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
+    return notes
 
 
 def _sbm_priors(args):
@@ -103,7 +133,7 @@ def _search_config(args):
 
 def cmd_detect(args):
     started = time.perf_counter()
-    graph = _load_graph(args.graph)
+    graph = _read(args.graph, load_edge_list)
     if args.seed not in graph.node_labels:
         raise DomainError(f"seed id {args.seed} not present in {args.graph}")
     seed = graph.node_labels[args.seed]
@@ -139,7 +169,7 @@ def cmd_detect(args):
 
 def cmd_global(args):
     started = time.perf_counter()
-    graph = _load_graph(args.graph)
+    graph = _read(args.graph, load_edge_list)
     priors = _sbm_priors(args) if args.method == "gsbm" else _dcbm_priors(args)
     rng = make_rng(args.rng_seed)
     partition = louvain(graph, args.method, priors, rng)
@@ -176,12 +206,6 @@ def cmd_generate(args):
 _ROW_HEADER = ("method", "seed", "truth_size", "found_size",
                "precision", "recall", "f1", "conductance", "elapsed_s")
 
-_SUMMARY_HEADER = ("method", "samples", "failed",
-                   "mean_f1", "stderr_f1", "mean_precision", "stderr_precision",
-                   "mean_recall", "stderr_recall",
-                   "mean_conductance", "stderr_conductance",
-                   "mean_truth_size", "mean_found_size", "mean_elapsed")
-
 
 def _format_row(row, graph):
     ext_seed = graph.external_ids[row.seed]
@@ -192,47 +216,20 @@ def _format_row(row, graph):
     ])
 
 
-def _external_detector(path, graph):
-    """Detector stub replaying one precomputed community per sample line."""
-    sets = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            members = set()
-            for tok in line.split():
-                try:
-                    ext = int(tok)
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: non-integer node id "
-                                     f"{tok!r}") from None
-                if ext not in graph.node_labels:
-                    raise DomainError(f"external-results id {ext} not in the graph")
-                members.add(graph.node_labels[ext])
-            sets.append(members)
-    counter = {"i": 0}
-
-    def detector(_graph, _seed, _rng):
-        i = counter["i"]
-        counter["i"] += 1
-        if i >= len(sets):
-            raise ValueError(f"external results exhausted after {len(sets)} lines")
-        return sets[i]
-
-    detector.name = "external"
-    return detector
-
-
 def cmd_eval(args):
     started = time.perf_counter()
-    graph = _load_graph(args.graph)
-    with open(args.communities) as fh:
-        truths = load_communities(fh, graph, min_size=args.min_size)
-    if not truths:
-        raise DomainError(f"no communities of size >= {args.min_size} in {args.communities}")
+    graph, truths = _graph_and_truths(args)
     cfg = _search_config(args)
-    detector = _external_detector(args.external_results, graph) \
-        if args.external_results else None
+    detector = None
+    if args.external_results:
+        found = _read(args.external_results, load_communities, graph, min_size=1)
+        if len(found) < args.samples:
+            raise DomainError(f"{args.external_results}: {len(found)} result line(s) for "
+                              f"--samples {args.samples}: one line per sample is needed")
+        replay = iter(found)
+
+        def detector(_graph, _seed, _rng):
+            return next(replay)
     rng = make_rng(args.rng_seed)
     rows, summary = _from_flags(run_protocol, graph, truths, cfg, args.samples, rng,
                                 detector=detector)
@@ -240,28 +237,23 @@ def cmd_eval(args):
         fh.write("\t".join(_ROW_HEADER) + "\n")
         for row in rows:
             fh.write(_format_row(row, graph) + "\n")
-    values = [summary["method"], str(summary["samples"]), str(summary["failed"])]
-    for key in _SUMMARY_HEADER[3:]:
-        values.append(f"{summary[key]:.6f}")
-    print("\t".join(_SUMMARY_HEADER))
-    print("\t".join(values))
-    notes = ""
+    print("\t".join(summary))
+    print("\t".join(f"{v:.6f}" if isinstance(v, float) else str(v)
+                    for v in summary.values()))
+    notes = []
     if args.samples > len(truths):
-        notes = (f"samples ({args.samples}) exceed the {len(truths)} distinct "
-                 "communities: drawn without replacement until the pool is "
-                 "exhausted, then with replacement")
+        notes.append(f"samples ({args.samples}) exceed the {len(truths)} distinct "
+                     "communities: drawn without replacement until the pool is "
+                     "exhausted, then with replacement")
+    notes += _failure_notes(rows)
     _write_manifest(args.manifest, "eval", args, args.graph, started,
-                    columns=_ROW_HEADER, notes=notes)
+                    columns=_ROW_HEADER, notes="; ".join(notes))
     return 0
 
 
 def cmd_nsweep(args):
     started = time.perf_counter()
-    graph = _load_graph(args.graph)
-    with open(args.communities) as fh:
-        truths = load_communities(fh, graph, min_size=args.min_size)
-    if not truths:
-        raise DomainError(f"no communities of size >= {args.min_size} in {args.communities}")
+    graph, truths = _graph_and_truths(args)
     try:
         n_values = [int(tok) for tok in args.n_values.replace(",", " ").split()]
     except ValueError:
@@ -273,13 +265,15 @@ def cmd_nsweep(args):
                            priors=_dcbm_priors(args))
                for formal_n in n_values]
     # identical sampling stream per N so rows differ only in the score's totals
-    summaries = [_from_flags(run_protocol, graph, truths, cfg, args.samples,
-                             make_rng(args.rng_seed))[1] for cfg in configs]
+    runs = [_from_flags(run_protocol, graph, truths, cfg, args.samples,
+                        make_rng(args.rng_seed)) for cfg in configs]
     print("formal_n\tmean_f1\tmean_size")
-    for cfg, summary in zip(configs, summaries):
+    notes = []
+    for cfg, (rows, summary) in zip(configs, runs):
         print(f"{cfg.formal_N}\t{summary['mean_f1']:.6f}\t{summary['mean_found_size']:.6f}")
+        notes += _failure_notes(rows, f"--formal-n {cfg.formal_N}: ")
     _write_manifest(args.manifest, "nsweep", args, args.graph, started,
-                    columns=("formal_n", "mean_f1", "mean_size"))
+                    columns=("formal_n", "mean_f1", "mean_size"), notes="; ".join(notes))
     return 0
 
 
@@ -312,7 +306,7 @@ def build_parser():
     _add_prior_flags(p)
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--manifest", default="detect.manifest.json")
+    p.add_argument("--manifest")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("global", help="Louvain partition of the whole graph")
@@ -321,7 +315,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     _add_prior_flags(p)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--manifest", default=None)
+    p.add_argument("--manifest")
     p.set_defaults(func=cmd_global)
 
     p = sub.add_parser("generate", help="sample a planted-partition graph")
@@ -334,7 +328,7 @@ def build_parser():
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--out", required=True, help="output prefix")
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--manifest", default=None)
+    p.add_argument("--manifest")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("eval", help="sampled-protocol evaluation")
@@ -350,7 +344,7 @@ def build_parser():
     p.add_argument("--external-results", default=None,
                    help="precomputed communities, one line per sample")
     p.add_argument("--out", default="eval_rows.tsv")
-    p.add_argument("--manifest", default=None)
+    p.add_argument("--manifest")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("nsweep", help="formal-N resolution sweep")
@@ -365,7 +359,7 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--manifest", default="nsweep.manifest.json")
+    p.add_argument("--manifest")
     p.set_defaults(func=cmd_nsweep)
     return parser
 
@@ -373,7 +367,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "manifest", None) is None:
+    if args.manifest is None:
         base = getattr(args, "out", None) or args.command
         args.manifest = f"{base}.manifest.json"
     try:

@@ -36,7 +36,7 @@ class Graph:
     __slots__ = ("node_count", "edge_count", "indptr", "indices", "degrees",
                  "node_labels", "external_ids", "dropped_duplicates", "dropped_self_loops")
 
-    def __init__(self, node_count, edges, node_labels=None, external_ids=None,
+    def __init__(self, node_count, edges, external_ids=None,
                  dropped_duplicates=0, dropped_self_loops=0):
         """Build from (i, j) dense-index pairs (a sequence or an (M, 2) array).
 
@@ -77,9 +77,7 @@ class Graph:
         self.indptr, self.indices, self.degrees = indptr, indices, degrees
         if external_ids is None:
             external_ids = list(range(node_count))
-        if node_labels is None:
-            node_labels = {ext: i for i, ext in enumerate(external_ids)}
-        self.node_labels = node_labels
+        self.node_labels = {ext: i for i, ext in enumerate(external_ids)}
         self.external_ids = external_ids
         self.dropped_duplicates = dropped_duplicates
         self.dropped_self_loops = dropped_self_loops
@@ -260,14 +258,20 @@ def _parse_lines(lines):
     return np.array(ends, dtype=np.int64).reshape(-1, 2), list(labels)
 
 
-def load_communities(stream, graph, min_size=3):
-    """Parse ground-truth communities (one whitespace-separated line each).
+class UnknownNodeError(ValueError):
+    """A community file names a node id the graph does not hold."""
 
-    Ids are translated through graph.node_labels; communities smaller than
-    min_size are filtered out.
+
+def load_communities(stream, graph, min_size=3):
+    """Parse communities, one whitespace-separated line each, in file order.
+
+    Lines starting with '#' and blank lines are ignored. Ids are translated
+    through graph.node_labels; communities smaller than min_size are
+    filtered out.
 
     Raises:
-        ValueError: naming the line of a non-integer or unknown node id.
+        UnknownNodeError: naming the line of a node id not in the graph.
+        ValueError: naming the line of a non-integer node id.
     """
     out = []
     for lineno, raw in enumerate(stream, start=1):
@@ -281,7 +285,7 @@ def load_communities(stream, graph, min_size=3):
             except ValueError:
                 raise ValueError(f"line {lineno}: non-integer node id {tok!r}") from None
             if ext not in graph.node_labels:
-                raise ValueError(f"line {lineno}: node id {ext} not present in the graph")
+                raise UnknownNodeError(f"line {lineno}: node id {ext} not present in the graph")
             members.add(graph.node_labels[ext])
         if len(members) >= min_size:
             out.append(members)

@@ -1,5 +1,6 @@
 """End-to-end command tests, run in-process against temp files."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -453,3 +454,161 @@ class TestInvalidFlagValues:
         assert captured.err.startswith("error: ")
         assert self.NAMED.get(flag, "") in captured.err
         assert captured.out == ""
+
+
+class TestInputFiles:
+    # Every input file is read through one helper: its errors read
+    # "error: <path>: line N: ...", an unknown node id exits 2 and any
+    # other malformed line exits 1, before any output.
+    EVAL = ["eval", "--graph", "g.edges", "--communities", "g.cmty",
+            "--method", "adcbm", "--samples", "1", "--restarts", "1",
+            "--out", "rows.tsv"]
+    NSWEEP = ["nsweep", "--graph", "g.edges", "--communities", "g.cmty",
+              "--n-values", "12", "--samples", "1", "--restarts", "1"]
+    # (command, the file the case rewrites, the flag that names it)
+    FILES = {
+        "graph-detect": (["detect", "--graph", "g.edges", "--seed", "0",
+                          "--method", "adcbm", "--restarts", "1"], "g.edges", None),
+        "graph-global": (["global", "--graph", "g.edges", "--method", "gsbm",
+                          "--out", "part.txt"], "g.edges", None),
+        "graph-eval": (EVAL, "g.edges", None),
+        "graph-nsweep": (NSWEEP, "g.edges", None),
+        "communities-eval": (EVAL, "g.cmty", None),
+        "communities-nsweep": (NSWEEP, "g.cmty", None),
+        "external-results": (EVAL, "ext.txt", "--external-results"),
+    }
+
+    def run(self, capsys, case, text):
+        argv, path, flag = self.FILES[case]
+        with open(path, "w") as fh:
+            fh.write(text)
+        rc = cli.main(argv + ([flag, path] if flag else []))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return rc, path, captured.err
+
+    @pytest.mark.parametrize("case", FILES)
+    def test_malformed_token_exits_1(self, in_tmp, capsys, case):
+        write_cliques_fixture(in_tmp)
+        text = "0 1\n1 x\n" if case.startswith("graph") else "0 1 2 3\n4 x 6\n"
+        rc, path, err = self.run(capsys, case, text)
+        assert rc == 1
+        assert err.startswith(f"error: {path}: line 2: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("case", [c for c in FILES if not c.startswith("graph")])
+    def test_unknown_id_exits_2(self, in_tmp, capsys, case):
+        write_cliques_fixture(in_tmp)
+        rc, path, err = self.run(capsys, case, "# a comment\n0 1 2 3\n4 99 6\n")
+        assert rc == 2
+        assert err == f"error: {path}: line 3: node id 99 not present in the graph\n"
+
+    def test_external_results_skip_comment_lines(self, in_tmp, capsys):
+        write_cliques_fixture(in_tmp)
+        # sampled community order under rng-seed 0 is C, A, B (seeds 9, 0, 6)
+        with open("ext.txt", "w") as fh:
+            fh.write("# detector output\n8 9 10 11\n\n# next\n0 1 2 3\n4 5 6 7\n")
+        rc = cli.main(["eval", "--graph", "g.edges", "--communities", "g.cmty",
+                       "--method", "adcbm", "--samples", "3", "--rng-seed", "0",
+                       "--external-results", "ext.txt", "--out", "rows.tsv"])
+        assert rc == 0
+        summary = capsys.readouterr().out.splitlines()
+        fields = dict(zip(summary[0].split("\t"), summary[1].split("\t")))
+        assert (fields["failed"], fields["mean_f1"]) == ("0", "1.000000")
+
+    def test_short_external_results_exits_2_before_output(self, in_tmp, capsys):
+        write_cliques_fixture(in_tmp)
+        with open("ext.txt", "w") as fh:
+            fh.write("8 9 10 11\n")
+        rc = cli.main(["eval", "--graph", "g.edges", "--communities", "g.cmty",
+                       "--method", "adcbm", "--samples", "3", "--rng-seed", "0",
+                       "--external-results", "ext.txt", "--out", "rows.tsv"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("error: ext.txt: 1 result line(s) for --samples 3: "
+                                "one line per sample is needed\n")
+        assert not (in_tmp / "rows.tsv").exists()
+        assert not (in_tmp / "rows.tsv.manifest.json").exists()
+
+    def test_failed_samples_name_their_error(self, in_tmp, capsys):
+        write_cliques_fixture(in_tmp)
+        # the samples draw seeds 9, 0 and 6; the first two lines lack them
+        with open("ext.txt", "w") as fh:
+            fh.write("0 1 2 3\n4 5 6 7\n4 5 6 7\n")
+        rc = cli.main(["eval", "--graph", "g.edges", "--communities", "g.cmty",
+                       "--method", "adcbm", "--samples", "3", "--rng-seed", "0",
+                       "--external-results", "ext.txt", "--out", "rows.tsv",
+                       "--manifest", "m.json"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        summary = captured.out.splitlines()
+        assert summary[1].split("\t")[:4] == ["external", "3", "2", "1.000000"]
+        assert masked_rows("rows.tsv")[1:] == [
+            ["external", "9", "4", "0", "0.000000", "0.000000", "0.000000", "1.000000"],
+            ["external", "0", "4", "0", "0.000000", "0.000000", "0.000000", "1.000000"],
+            ["external", "6", "4", "4", "1.000000", "1.000000", "1.000000", "0.000000"],
+        ]
+        notes = ["1 failed sample(s): ValueError: seed 9 missing from the recovered set",
+                 "1 failed sample(s): ValueError: seed 0 missing from the recovered set"]
+        assert captured.err == "".join(f"warning: {n}\n" for n in notes)
+        assert json.loads(open("m.json").read())["notes"] == "; ".join(notes)
+
+    def test_nsweep_failed_samples_name_their_error(self, in_tmp, capsys):
+        write_cliques_fixture(in_tmp)
+        # formal N 2 is smaller than any 4-node community's volume needs
+        rc = cli.main(["nsweep", "--graph", "g.edges", "--communities", "g.cmty",
+                       "--n-values", "2,12", "--samples", "1", "--restarts", "1"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == "2\t0.000000\t0.000000"
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: --formal-n 2: 1 failed sample(s): ValueError: ")
+        notes = json.loads(open("nsweep.manifest.json").read())["notes"]
+        assert notes == err[0].removeprefix("warning: ")
+
+    @pytest.mark.parametrize("argv, manifest", [
+        (["detect", "--graph", "g.edges", "--seed", "0", "--method", "adcbm",
+          "--restarts", "1"], "detect.manifest.json"),
+        (["global", "--graph", "g.edges", "--method", "gsbm", "--out", "part.txt"],
+         "part.txt.manifest.json"),
+        (["generate", "--model", "sbm", "--communities", "2", "--size", "3",
+          "--lambda-in", "0.5", "--lambda-out", "0.1", "--out", "planted"],
+         "planted.manifest.json"),
+        (["eval", "--graph", "g.edges", "--communities", "g.cmty", "--method", "adcbm",
+          "--samples", "1", "--restarts", "1", "--out", "rows.tsv"],
+         "rows.tsv.manifest.json"),
+        (["nsweep", "--graph", "g.edges", "--communities", "g.cmty",
+          "--n-values", "12", "--samples", "1", "--restarts", "1"],
+         "nsweep.manifest.json"),
+    ])
+    def test_default_manifest_names(self, in_tmp, capsys, argv, manifest):
+        write_cliques_fixture(in_tmp)
+        assert cli.main(argv) == 0
+        written = sorted(p.name for p in in_tmp.glob("*.manifest.json"))
+        assert written == [manifest]
+        assert json.loads(open(manifest).read())["flags"]["manifest"] == manifest
+
+    PRIORS = {"--gamma", "--alpha", "--theta", "--alpha-plus", "--alpha-minus"}
+    COMMON = {"-h", "--help", "--rng-seed", "--manifest"}
+    OPTIONS = {
+        "detect": COMMON | PRIORS | {"--graph", "--seed", "--method", "--formal-n",
+                                     "--restarts", "--json"},
+        "global": COMMON | PRIORS | {"--graph", "--method", "--out"},
+        "generate": COMMON | {"--model", "--communities", "--size", "--lambda-in",
+                              "--lambda-out", "--alpha", "--theta", "--out"},
+        "eval": COMMON | PRIORS | {"--graph", "--communities", "--method", "--samples",
+                                   "--min-size", "--restarts", "--formal-n",
+                                   "--external-results", "--out"},
+        "nsweep": COMMON | {"--graph", "--communities", "--n-values", "--samples",
+                            "--min-size", "--restarts", "--gamma", "--alpha", "--theta"},
+    }
+
+    def test_each_command_keeps_its_options(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        options = {name: {s for a in sub._actions for s in a.option_strings}
+                   for name, sub in commands.items()}
+        assert options == self.OPTIONS

@@ -241,6 +241,17 @@ class TestLoadCommunities:
         with pytest.raises(ValueError, match=r"^line 3: non-integer node id 'x4'$"):
             load_communities(io.StringIO("1 2 3\n# note\n4 x4 5"), g)
 
+    def test_unknown_id_has_its_own_value_error_type(self):
+        # The CLI exits 2 on this type and 1 on any other ValueError.
+        g = self.make_graph()
+        with pytest.raises(graph_module.UnknownNodeError,
+                           match=r"^line 2: node id 99 not present in the graph$"):
+            load_communities(io.StringIO("1 2 3\n4 99"), g, min_size=1)
+        assert issubclass(graph_module.UnknownNodeError, ValueError)
+        with pytest.raises(ValueError) as info:
+            load_communities(io.StringIO("1 2 x"), g)
+        assert type(info.value) is ValueError
+
 
 class TestCommunityStats:
     def test_four_clique(self):
