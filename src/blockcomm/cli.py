@@ -267,13 +267,15 @@ def cmd_nsweep(args):
     # identical sampling stream per N so rows differ only in the score's totals
     runs = [_from_flags(run_protocol, graph, truths, cfg, args.samples,
                         make_rng(args.rng_seed)) for cfg in configs]
-    print("formal_n\tmean_f1\tmean_size")
+    columns = ("formal_n", "mean_f1", "mean_size", "failed")
+    print("\t".join(columns))
     notes = []
     for cfg, (rows, summary) in zip(configs, runs):
-        print(f"{cfg.formal_N}\t{summary['mean_f1']:.6f}\t{summary['mean_found_size']:.6f}")
+        print(f"{cfg.formal_N}\t{summary['mean_f1']:.6f}\t{summary['mean_found_size']:.6f}"
+              f"\t{summary['failed']}")
         notes += _failure_notes(rows, f"--formal-n {cfg.formal_N}: ")
     _write_manifest(args.manifest, "nsweep", args, args.graph, started,
-                    columns=("formal_n", "mean_f1", "mean_size"), notes="; ".join(notes))
+                    columns=columns, notes="; ".join(notes))
     return 0
 
 

@@ -103,7 +103,7 @@ def run_protocol(graph, truths, cfg, samples, rng, detector=None):
         rng: generator for the draws; per-sample detection streams are
             derived from it so rows are independent and reproducible.
         detector: optional override, callable (graph, seed, sample_rng) ->
-            node set; used to score externally computed communities.
+            node set; scores external communities (rows read "external").
 
     Returns:
         (rows, summary) where summary maps metric names to mean/stderr. A
@@ -120,7 +120,7 @@ def run_protocol(graph, truths, cfg, samples, rng, detector=None):
         raise ValueError(f"samples must be >= 1, got {samples}")
     rows = []
     picks = _sample_indices(len(truths), samples, rng)
-    method = cfg.method if detector is None else getattr(detector, "name", "external")
+    method = cfg.method if detector is None else "external"
     for sample_index, t_idx in enumerate(picks):
         truth = truths[t_idx]
         members_sorted = sorted(truth)
@@ -133,6 +133,9 @@ def run_protocol(graph, truths, cfg, samples, rng, detector=None):
             else:
                 found = detect(graph, seed, replace(cfg, rng_seed=sample_seed)).members
             elapsed = time.perf_counter() - start
+            if seed not in found:
+                raise ValueError(f"seed {graph.external_ids[seed]} missing from "
+                                 "the recovered set")
             precision, recall = precision_recall_excluding_seed(found, truth, seed)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")

@@ -71,25 +71,29 @@ class Partition:
         return out
 
 
-def _converge_vb(graph, assignment, priors, tol=1e-8, max_sweeps=200):
+VB_TOL = 1e-8
+VB_MAX_SWEEPS = 200
+
+
+def _converge_vb(graph, assignment, priors):
     """Run vb_update sweeps until the bound stalls; returns (state, bound).
 
     One VbPartition holds the partition's fixed inputs for every sweep. A
-    fit that reaches max_sweeps without meeting tol warns, giving the last
-    bound change.
+    fit that reaches VB_MAX_SWEEPS without meeting VB_TOL warns, giving the
+    last bound change.
     """
     fit = VbPartition(graph, assignment, priors)
     state = initial_variational_state(graph, priors)
     bound = vb_bound(fit, state)
-    for _ in range(max_sweeps):
+    for _ in range(VB_MAX_SWEEPS):
         state = vb_update(fit, state)
         new_bound = vb_bound(fit, state)
         change, bound = new_bound - bound, new_bound
-        if abs(change) < tol:
+        if abs(change) < VB_TOL:
             break
     else:
-        warnings.warn(f"VB fit stopped at its cap of {max_sweeps} sweeps; "
-                      f"last bound change {change:.3g} (tol {tol:g})")
+        warnings.warn(f"VB fit stopped at its cap of {VB_MAX_SWEEPS} sweeps; "
+                      f"last bound change {change:.3g} (tol {VB_TOL:g})")
     return state, bound
 
 
@@ -223,6 +227,8 @@ class _SbmGain:
     dropped when a change is applied. Sizes are in original nodes.
     """
 
+    links_size_only = True  # a move's change depends on b only through (links, size)
+
     def __init__(self, sup, m, total_pairs, priors):
         self.m, self.total_pairs = m, total_pairs
         self.ap, self.am = priors.alpha_plus, priors.alpha_minus
@@ -271,8 +277,8 @@ class _SbmGain:
 class _FrozenDcbmGain:
     """gDCBM bound change of a single-node move under a frozen surrogate.
 
-    Fits the surrogate on the partition comm[orig_to_super], or takes the
-    fit from fits (a _VbFits) when given; bound is the fitted bound. With
+    Takes the surrogate fit of the partition comm[orig_to_super] from fits
+    (a _VbFits, with its graph and priors); bound is the fitted bound. With
     the factors frozen, the bound gains d_log = E[log lambda_in] -
     E[log lambda_out] per within-community edge and loses d_mean =
     E[lambda_in] - E[lambda_out] per unit of within-community sum of
@@ -281,13 +287,14 @@ class _FrozenDcbmGain:
     are finite at every partition.
     """
 
-    def __init__(self, graph, orig_to_super, comm, priors, fits=None):
-        fits = fits or _VbFits(graph, priors)
+    links_size_only = False  # a move's change also reads b's sums of E[d]
+
+    def __init__(self, orig_to_super, comm, fits):
         state, self.bound = fits.fit(comm[orig_to_super])
         self.d_log = ((float(psi(state.a_in)) + math.log(state.s_in))
                       - (float(psi(state.a_out)) + math.log(state.s_out)))
         self.d_mean = state.a_in * state.s_in - state.a_out * state.s_out
-        e_d = (priors.alpha + graph.degrees.astype(float)) * state.theta_d
+        e_d = (fits.priors.alpha + fits.graph.degrees.astype(float)) * state.theta_d
         s_u = np.bincount(orig_to_super, weights=e_d, minlength=len(comm))
         q_u = np.bincount(orig_to_super, weights=e_d * e_d, minlength=len(comm))
         self.s_u, self.q_u = s_u.tolist(), q_u.tolist()
@@ -327,7 +334,7 @@ def _neighbor_comm_weights(sup, comm, u):
     return wsum
 
 
-def _sweep(sup, comm, csize, prior, gain, rng, on_move=None, _by_links_size=False):
+def _sweep(sup, comm, csize, prior, gain, rng, on_move=None):
     """One pass of greedy single-node moves in random order.
 
     Each super-node joins the neighboring community, or a fresh singleton,
@@ -337,11 +344,11 @@ def _sweep(sup, comm, csize, prior, gain, rng, on_move=None, _by_links_size=Fals
     len(csize)), prior and gain are updated in place, and on_move, if given,
     is called after every accepted move. Returns the number of moves.
 
-    _by_links_size is for a gain whose change depends on the target b only
-    through its links from the node and its size (the gSBM gain): candidates
-    with equal (links, size) then change the objective by the same bits, so
-    only the lowest id of each such group is priced, which picks the same
-    community as pricing them all. The fresh singleton is the group (0, 0).
+    When gain.links_size_only, the gain's change depends on the target b
+    only through its links from the node and its size, so candidates with
+    equal (links, size) change the objective by the same bits: only the
+    lowest id of each such group is priced, which picks the same community
+    as pricing them all. The fresh singleton is the group (0, 0).
     """
     t = prior.table
     size = sup.size
@@ -351,7 +358,7 @@ def _sweep(sup, comm, csize, prior, gain, rng, on_move=None, _by_links_size=Fals
         s_u, s_a = size[u], csize[a]
         wsum = _neighbor_comm_weights(sup, comm, u)
         e_ua = wsum.pop(a, 0)
-        if _by_links_size:
+        if gain.links_size_only:
             first = {}
             for b in sorted(wsum):
                 first.setdefault((wsum[b], csize[b]), b)
@@ -385,13 +392,17 @@ def _sweep(sup, comm, csize, prior, gain, rng, on_move=None, _by_links_size=Fals
     return moved
 
 
+# Sweeps per moving phase; far above any phase seen (at most 6 on the benchmark graphs).
+MOVE_MAX_SWEEPS = 1000
+
+
 def _move_phase_gsbm(sup, m, total_pairs, priors, rng, audit=None):
     """Local moving under the exact SBM gain, sweeping until nothing moves.
 
     Returns (community array over super-nodes, improved flag, objective of
-    the starting partition). audit, if given, is called after every accepted
-    move with (comm copy, objective) so tests can compare against
-    from-scratch evaluation.
+    the starting partition); a phase stopped at MOVE_MAX_SWEEPS warns.
+    audit, if given, is called after every accepted move with (comm copy,
+    objective) so tests can compare against from-scratch evaluation.
     """
     comm = np.arange(sup.n, dtype=np.int64)
     csize = dict(enumerate(sup.size))
@@ -400,38 +411,38 @@ def _move_phase_gsbm(sup, m, total_pairs, priors, rng, audit=None):
     start = gain.lik + prior.total
     on_move = None if audit is None else (
         lambda: audit(comm.copy(), gain.lik + prior.total))
-    improved = False
-    while _sweep(sup, comm, csize, prior, gain, rng, on_move, _by_links_size=True):
-        improved = True
-    return comm, improved, start
+    for sweeps in range(MOVE_MAX_SWEEPS):
+        if not _sweep(sup, comm, csize, prior, gain, rng, on_move):
+            return comm, sweeps > 0, start
+    warnings.warn(f"moving phase stopped at its cap of {MOVE_MAX_SWEEPS} sweeps")
+    return comm, True, start
 
 
-def _move_phase_gdcbm(graph, sup, orig_to_super, priors, rng, fits):
+def _move_phase_gdcbm(sup, orig_to_super, rng, fits):
     """Local moving under the frozen gDCBM gain, refitting between sweeps.
 
     Each sweep runs at the surrogate fitted before it, taken from fits (a
     _VbFits). The sweep is kept only if the refitted objective improved;
     otherwise its moves are rolled back and the phase ends. Returns
     (community array over super-nodes, improved flag, objective of the
-    starting partition).
+    starting partition); a phase stopped at MOVE_MAX_SWEEPS warns.
     """
     comm = np.arange(sup.n, dtype=np.int64)
     csize = dict(enumerate(sup.size))
-    prior = _PriorTracker(priors.gamma_exp, sup.size)
-    gain = _FrozenDcbmGain(graph, orig_to_super, comm, priors, fits)
+    prior = _PriorTracker(fits.priors.gamma_exp, sup.size)
+    gain = _FrozenDcbmGain(orig_to_super, comm, fits)
     start = obj_prev = gain.bound + prior.total
-    improved = False
-    while True:
+    for sweeps in range(MOVE_MAX_SWEEPS):
         snapshot = comm.copy()
         if not _sweep(sup, comm, csize, prior, gain, rng):
-            break
-        gain = _FrozenDcbmGain(graph, orig_to_super, comm, priors, fits)
+            return comm, sweeps > 0, start
+        gain = _FrozenDcbmGain(orig_to_super, comm, fits)
         obj_new = gain.bound + prior.total
         if obj_new <= obj_prev + _ACCEPT_EPS:
-            return snapshot, improved, start
+            return snapshot, sweeps > 0, start
         obj_prev = obj_new
-        improved = True
-    return comm, improved, start
+    warnings.warn(f"moving phase stopped at its cap of {MOVE_MAX_SWEEPS} sweeps")
+    return comm, True, start
 
 
 def _scan_merges(sup, gain, prior):
@@ -526,7 +537,10 @@ def _merge_bootstrap(graph, sup, orig_to_super, objective, priors, cur, rng, fit
     return None
 
 
-def louvain(graph, objective, priors, rng, max_levels=10):
+MAX_LEVELS = 10
+
+
+def louvain(graph, objective, priors, rng):
     """Two-phase Louvain ascent of the chosen objective.
 
     Returns the flattened Partition over original nodes. Each level runs the
@@ -541,26 +555,23 @@ def louvain(graph, objective, priors, rng, max_levels=10):
     fits of the call are kept in one _VbFits, which the returned Partition
     carries to objective_value, so no labelling is fitted twice. Stops when
     neither phase improves, the graph collapses to one community, or
-    max_levels is reached.
+    MAX_LEVELS levels have run.
 
     Raises:
-        ValueError: for an unknown objective or max_levels below 1.
+        ValueError: for an unknown objective.
     """
     if objective not in ("gsbm", "gdcbm"):
         raise ValueError(f"unknown objective {objective!r}; expected 'gsbm' or 'gdcbm'")
-    if max_levels < 1:
-        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     sup = _SuperGraph.from_graph(graph)
     orig_to_super = np.arange(graph.node_count, dtype=np.int64)
     m = graph.edge_count
     total_pairs = _pairs(graph.node_count)
     fits = _VbFits(graph, priors)
-    for _ in range(max_levels):
+    for _ in range(MAX_LEVELS):
         if objective == "gsbm":
             comm, improved, start = _move_phase_gsbm(sup, m, total_pairs, priors, rng)
         else:
-            comm, improved, start = _move_phase_gdcbm(graph, sup, orig_to_super, priors, rng,
-                                                      fits)
+            comm, improved, start = _move_phase_gdcbm(sup, orig_to_super, rng, fits)
         if not improved:
             merged = _merge_bootstrap(graph, sup, orig_to_super, objective, priors, start, rng,
                                       fits)

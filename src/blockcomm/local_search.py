@@ -20,7 +20,6 @@ closure, so a wrapper installed on this module's names (a tracer, a test's
 monkeypatch) sees every call.
 """
 
-import time
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -44,7 +43,6 @@ class SearchConfig:
     restarts: int = 10
     rng_seed: int = 0
     formal_N: int | None = None
-    max_passes: int = 100
     priors: object = None
 
     def __post_init__(self):
@@ -52,8 +50,6 @@ class SearchConfig:
             raise ValueError(f"unknown method {self.method!r}; expected 'asbm' or 'adcbm'")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_passes < 1:
-            raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
         if self.formal_N is not None and self.formal_N < 1:
             raise ValueError(f"formal_N must be >= 1, got {self.formal_N}")
         if self.priors is None:
@@ -69,10 +65,11 @@ class DetectionResult:
     stats: object
     restart_index: int = 0
     passes: int = 0
-    elapsed: float = 0.0
 
 
-# Additions the first-step fallback may make from a bare seed, at a loss.
+# Frontier passes one greedy expansion may make, and additions its
+# first-step fallback may make from a bare seed, at a loss.
+MAX_PASSES = 100
 FIRST_STEP_CAP = 4
 
 
@@ -112,7 +109,7 @@ def _first_step(graph, members, links, stats, score, scorer, alpha):
     return None
 
 
-def greedy_expand(graph, seed, scorer, rng, alpha=1.0, max_passes=100):
+def greedy_expand(graph, seed, scorer, rng, alpha=1.0):
     """One greedy expansion from a single seed node.
 
     A pass that adds nothing ends the expansion, except when the community
@@ -128,7 +125,6 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0, max_passes=100):
         scorer: callable CommunityStats -> float (higher is better).
         rng: numpy Generator driving the frontier shuffles.
         alpha: Gamma shape used in the incremental sufficient statistics.
-        max_passes: hard cap on frontier sweeps.
 
     Returns:
         DetectionResult. An isolated seed returns its singleton with a
@@ -139,20 +135,18 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0, max_passes=100):
     """
     if not 0 <= seed < graph.node_count:
         raise ValueError(f"seed {seed} is outside [0, {graph.node_count})")
-    start = time.perf_counter()
     stats = community_stats(graph, {seed}, alpha)
     score = scorer(stats)
     members = {seed}
     if graph.degree(seed) == 0:
         warnings.warn(f"seed node {graph.external_ids[seed]} is isolated; "
                       "returning the singleton")
-        return DetectionResult({seed}, score, stats, passes=0,
-                               elapsed=time.perf_counter() - start)
+        return DetectionResult({seed}, score, stats, passes=0)
 
     # Frontier node -> number of its edges into the community.
     links = Counter(graph.neighbors(seed).tolist())
     passes = 0
-    while passes < max_passes:
+    while passes < MAX_PASSES:
         passes += 1
         order = sorted(links)
         rng.shuffle(order)
@@ -172,8 +166,7 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0, max_passes=100):
             if grown is None:
                 break
             members, links, stats, score = grown
-    return DetectionResult(members, score, stats, passes=passes,
-                           elapsed=time.perf_counter() - start)
+    return DetectionResult(members, score, stats, passes=passes)
 
 
 def make_scorer(graph, cfg):
@@ -215,8 +208,7 @@ def detect(graph, seed, cfg):
     best = None
     for r in range(cfg.restarts):
         rng = derived_rng(cfg.rng_seed, r)
-        result = greedy_expand(graph, seed, scorer, rng,
-                               alpha=alpha, max_passes=cfg.max_passes)
+        result = greedy_expand(graph, seed, scorer, rng, alpha=alpha)
         result.restart_index = r
         if best is None or result.log_score > best.log_score:
             best = result

@@ -350,9 +350,10 @@ class TestNsweep:
                        "--rng-seed", "5"])
         assert rc == 0
         sweep = capsys.readouterr().out.splitlines()
-        assert sweep[0] == "formal_n\tmean_f1\tmean_size"
-        n, f1, size = sweep[1].split("\t")
-        assert (n, f1, size) == ("1000", fields["mean_f1"], fields["mean_found_size"])
+        assert sweep[0] == "formal_n\tmean_f1\tmean_size\tfailed"
+        n, f1, size, failed = sweep[1].split("\t")
+        assert (n, f1, size, failed) == ("1000", fields["mean_f1"],
+                                         fields["mean_found_size"], fields["failed"])
 
     def test_actual_n_matches_plain_eval(self, in_tmp, capsys):
         write_cliques_fixture(in_tmp)
@@ -368,7 +369,7 @@ class TestNsweep:
         assert rc == 0
         sweep = capsys.readouterr().out.splitlines()
         assert sweep[1].split("\t")[1:] == [fields["mean_f1"],
-                                            fields["mean_found_size"]]
+                                            fields["mean_found_size"], fields["failed"]]
 
     def test_byte_identical_reruns(self, in_tmp, capsys):
         write_cliques_fixture(in_tmp)
@@ -561,12 +562,44 @@ class TestInputFiles:
                        "--n-values", "2,12", "--samples", "1", "--restarts", "1"])
         assert rc == 0
         captured = capsys.readouterr()
-        assert captured.out.splitlines()[1] == "2\t0.000000\t0.000000"
+        assert captured.out.splitlines()[1] == "2\t0.000000\t0.000000\t1"
         err = captured.err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("warning: --formal-n 2: 1 failed sample(s): ValueError: ")
         notes = json.loads(open("nsweep.manifest.json").read())["notes"]
         assert notes == err[0].removeprefix("warning: ")
+
+    def test_failed_sample_names_the_seed_by_its_file_id(self, in_tmp, capsys):
+        # File ids 10..15 are dense indices 0..5, so seed 11 is index 1.
+        with open("g.edges", "w") as fh:
+            fh.write("10 11\n11 12\n10 12\n12 13\n13 14\n14 15\n13 15\n")
+        with open("g.cmty", "w") as fh:
+            fh.write("10 11 12\n13 14 15\n")
+        with open("ext.txt", "w") as fh:
+            fh.write("13 14\n")
+        rc = cli.main(["eval", "--graph", "g.edges", "--communities", "g.cmty",
+                       "--method", "adcbm", "--samples", "1", "--rng-seed", "0",
+                       "--external-results", "ext.txt", "--out", "rows.tsv",
+                       "--manifest", "m.json"])
+        assert rc == 0
+        assert masked_rows("rows.tsv")[1][:4] == ["external", "11", "3", "0"]
+        note = "1 failed sample(s): ValueError: seed 11 missing from the recovered set"
+        assert capsys.readouterr().err == f"warning: {note}\n"
+        assert json.loads(open("m.json").read())["notes"] == note
+
+    def test_nsweep_counts_failed_samples_per_formal_n(self, in_tmp, capsys):
+        # A formal N whose samples all fail reads apart from a measured zero.
+        write_cliques_fixture(in_tmp)
+        rc = cli.main(["nsweep", "--graph", "g.edges", "--communities", "g.cmty",
+                       "--n-values", "2,12", "--samples", "3", "--restarts", "1"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "formal_n\tmean_f1\tmean_size\tfailed",
+            "2\t0.000000\t0.000000\t3",
+            "12\t1.000000\t4.000000\t0",
+        ]
+        columns = json.loads(open("nsweep.manifest.json").read())["columns"]
+        assert columns == ["formal_n", "mean_f1", "mean_size", "failed"]
 
     @pytest.mark.parametrize("argv, manifest", [
         (["detect", "--graph", "g.edges", "--seed", "0", "--method", "adcbm",

@@ -110,7 +110,6 @@ class TestConductance:
 def truth_oracle(truths):
     def detector(graph, seed, rng):
         return next(t for t in truths if seed in t)
-    detector.name = "oracle"
     return detector
 
 
@@ -127,7 +126,7 @@ class TestRunProtocol:
         assert summary["mean_precision"] == 1.0
         assert summary["mean_recall"] == 1.0
         assert summary["failed"] == 0
-        assert all(r.method == "oracle" for r in rows)
+        assert all(r.method == "external" for r in rows)
         assert all(r.conductance == 0.0 for r in rows)
 
     def test_deterministic_given_rng_seed(self):
@@ -165,7 +164,6 @@ class TestRunProtocol:
             if seed in boom:
                 raise ValueError("detector exploded")
             return next(t for t in self.truths if seed in t)
-        detector.name = "flaky"
 
         rng = make_rng(0)
         rows, summary = run_protocol(self.g, self.truths, self.cfg, 30, rng,

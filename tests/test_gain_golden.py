@@ -34,6 +34,8 @@ from conftest import disjoint_cliques, graph_from_edges, random_gnp
 class RefSbmGain:
     """Exact SBM log-likelihood change of a move or a merge."""
 
+    links_size_only = False  # the sweep prices every candidate
+
     def __init__(self, sup, m, total_pairs, priors):
         self.m, self.total_pairs = m, total_pairs
         self.ap, self.am = priors.alpha_plus, priors.alpha_minus

@@ -30,7 +30,7 @@ from blockcomm.dcbm import (
 from blockcomm.distributions import (GammaParams, gamma_kl, gamma_kl_shape_terms,
                                      gamma_kl_terms)
 from blockcomm.generators import PlantedSpec, sample_dcbm, sample_sbm
-from blockcomm.global_search import _converge_vb, _FrozenDcbmGain, objective_value
+from blockcomm.global_search import _converge_vb, _FrozenDcbmGain, _VbFits, objective_value
 from blockcomm.graph import Graph, dense_labels
 from blockcomm.rng import make_rng
 from blockcomm.sbm import log_partition_prior
@@ -259,7 +259,7 @@ def test_objective_and_frozen_gain_equal_the_dataclass_fit(name, graph, labels, 
     assert objective_value(graph, labels, "gdcbm", priors) == ref_bound + prior
 
     # The frozen gain with every node its own super-node, as a level starts.
-    gain = _FrozenDcbmGain(graph, dense, np.arange(len(np.bincount(dense))), priors)
+    gain = _FrozenDcbmGain(dense, np.arange(len(np.bincount(dense))), _VbFits(graph, priors))
     assert gain.bound == ref_bound
     assert gain.d_log == ref.lambda_in.mean_log - ref.lambda_out.mean_log
     assert gain.d_mean == ref.lambda_in.mean - ref.lambda_out.mean

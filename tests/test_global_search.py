@@ -209,12 +209,13 @@ class TestConvergeVb:
         assert np.array_equal(state.theta_d, ref_state.theta_d)
         assert state[1:] == ref_state[1:]  # a_in, s_in, a_out, s_out
 
-    def test_warns_when_the_sweep_cap_is_reached(self):
+    def test_warns_when_the_sweep_cap_is_reached(self, monkeypatch):
         spec = PlantedSpec(communities=4, size=15, lambda_in=0.4, lambda_out=0.03)
         g, _ = sample_sbm(spec, make_rng(77))
         labels = np.arange(g.node_count)
+        monkeypatch.setattr(global_search, "VB_MAX_SWEEPS", 1)
         with pytest.warns(UserWarning, match="cap of 1 sweeps; last bound change"):
-            _, bound = _converge_vb(g, labels, DcbmPriors(), max_sweeps=1)
+            _, bound = _converge_vb(g, labels, DcbmPriors())
         assert bound == self.reference(g, labels, DcbmPriors(), max_sweeps=1)[1]
 
 
@@ -350,7 +351,7 @@ class TestGains:
     def test_frozen_dcbm_gain_matches_frozen_surrogate(self):
         g, priors = self.graph, DcbmPriors()
         start = np.arange(self.sup.n, dtype=np.int64)
-        gain = _FrozenDcbmGain(g, self.orig_to_super, start, priors)
+        gain = _FrozenDcbmGain(self.orig_to_super, start, _VbFits(g, priors))
         state, _ = _converge_vb(g, self.labels(start), priors)
         e_d = (priors.alpha + g.degrees.astype(float)) * state.theta_d
 
@@ -387,6 +388,8 @@ class TestPriorTracker:
 
 class _NanGain:
     """A gain that prices every move as NaN and must never apply one."""
+
+    links_size_only = False
 
     def move(self, *args):
         return math.nan
@@ -644,13 +647,31 @@ class TestLouvain:
             p = louvain(g, "gdcbm", DcbmPriors(), make_rng(7))
             objective_value(g, p, "gdcbm", DcbmPriors())
 
-    @pytest.mark.parametrize("max_levels", [0, -1])
-    def test_rejects_max_levels_below_one(self, max_levels):
-        g = disjoint_cliques(2, 4)
-        with pytest.raises(ValueError, match="max_levels must be >= 1"):
-            louvain(g, "gsbm", SbmPriors(), make_rng(0), max_levels=max_levels)
+    def test_max_levels_one_still_valid(self, monkeypatch):
+        # With the level cap at 1, louvain runs one moving phase and still
+        # returns a valid partition, under either objective.
+        spec = PlantedSpec(communities=6, size=20, lambda_in=0.3, lambda_out=0.03)
+        g, _ = sample_sbm(spec, make_rng(120))
+        monkeypatch.setattr(global_search, "MAX_LEVELS", 1)
+        for objective, priors in (("gsbm", SbmPriors()), ("gdcbm", DcbmPriors())):
+            name = f"_move_phase_{objective}"
+            phases = []
 
-    def test_max_levels_one_still_valid(self):
-        g = disjoint_cliques(2, 4)
-        p = louvain(g, "gsbm", SbmPriors(), make_rng(0), max_levels=1)
-        check_valid(p, 8)
+            def counted(*args, move_phase=getattr(global_search, name), **kwargs):
+                phases.append(args)
+                return move_phase(*args, **kwargs)
+
+            monkeypatch.setattr(global_search, name, counted)
+            p = louvain(g, objective, priors, make_rng(7))
+            check_valid(p, g.node_count)
+            assert len(phases) == 1
+
+    @pytest.mark.parametrize("objective", ["gsbm", "gdcbm"])
+    def test_moving_phase_warns_at_its_sweep_cap(self, objective, monkeypatch):
+        monkeypatch.setattr(global_search, "MOVE_MAX_SWEEPS", 1)
+        spec = PlantedSpec(communities=6, size=20, lambda_in=0.3, lambda_out=0.03)
+        g, _ = sample_sbm(spec, make_rng(120))
+        priors = SbmPriors() if objective == "gsbm" else DcbmPriors()
+        with pytest.warns(UserWarning, match="^moving phase stopped at its cap of 1 sweeps$"):
+            p = louvain(g, objective, priors, make_rng(7))
+        check_valid(p, g.node_count)

@@ -220,14 +220,16 @@ class TestBoundaries:
             res = greedy_expand(g, seed, scorer, derived_rng(0, 0), alpha=alpha)
         assert res.members == {seed}
 
-    def test_max_passes_cap(self):
+    def test_max_passes_cap(self, monkeypatch):
         g = disjoint_cliques(2, 5)
-        cfg = SearchConfig(method="adcbm", restarts=1, rng_seed=0, max_passes=1)
+        cfg = SearchConfig(method="adcbm", restarts=1, rng_seed=0)
         scorer, alpha = make_scorer(g, cfg)
-        res = greedy_expand(g, 0, scorer, derived_rng(0, 0), alpha=alpha, max_passes=1)
-        assert res.passes == 1
+        monkeypatch.setattr(local_search, "MAX_PASSES", 1)
         allowed = {0} | {int(x) for x in g.neighbors(0)}
-        assert res.members <= allowed
+        for res in (greedy_expand(g, 0, scorer, derived_rng(0, 0), alpha=alpha),
+                    detect(g, 0, cfg)):
+            assert res.passes == 1
+            assert res.members <= allowed
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="method"):
@@ -236,9 +238,6 @@ class TestBoundaries:
             SearchConfig(restarts=0)
         with pytest.raises(ValueError, match="formal_N"):
             SearchConfig(formal_N=0)
-        for passes in (0, -3):
-            with pytest.raises(ValueError, match=rf"max_passes must be >= 1, got {passes}"):
-                SearchConfig(max_passes=passes)
 
     @pytest.mark.parametrize("method", ["asbm", "adcbm"])
     @pytest.mark.parametrize("seed", [-1, -5, 5, 9])
@@ -303,8 +302,7 @@ def reference_detect(graph, seed, cfg, expand=greedy_expand):
     scorer, alpha = make_scorer(graph, cfg)
     best = None
     for r in range(cfg.restarts):
-        result = expand(graph, seed, scorer, derived_rng(cfg.rng_seed, r),
-                        alpha=alpha, max_passes=cfg.max_passes)
+        result = expand(graph, seed, scorer, derived_rng(cfg.rng_seed, r), alpha=alpha)
         result.restart_index = r
         if best is None or result.log_score > best.log_score:
             best = result
@@ -359,14 +357,14 @@ def scratch_first_step(graph, members, score, scorer, alpha):
     return None
 
 
-def scratch_greedy(graph, seed, scorer, rng, alpha, max_passes):
+def scratch_greedy(graph, seed, scorer, rng, alpha):
     """greedy_expand with every candidate's stats recomputed from scratch."""
     members = {seed}
     stats = community_stats(graph, members, alpha)
     score = scorer(stats)
     frontier = {int(x) for x in graph.neighbors(seed)}
     passes = 0
-    while passes < max_passes:
+    while passes < local_search.MAX_PASSES:
         passes += 1
         order = sorted(frontier)
         rng.shuffle(order)

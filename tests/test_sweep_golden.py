@@ -117,11 +117,6 @@ def ref_scan_merges(sup, gain, prior):
     return ops[:best_len] if best_cum > _ACCEPT_EPS else None
 
 
-def ref_sweep_any(sup, comm, csize, prior, gain, rng, on_move=None, _by_links_size=False):
-    """ref_sweep under the current signature: it prices every candidate anyway."""
-    return ref_sweep(sup, comm, csize, prior, gain, rng, on_move)
-
-
 OBJECTIVES = [("gsbm", SbmPriors()), ("gdcbm", DcbmPriors())]
 
 
@@ -136,7 +131,7 @@ def test_the_w1_shaped_fixture_has_an_isolated_node():
 def test_louvain_equals_the_reference_sweep_and_scan(name, graph, objective, priors,
                                                      monkeypatch):
     got = [louvain(graph, objective, priors, make_rng(seed)) for seed in range(3)]
-    monkeypatch.setattr(global_search, "_sweep", ref_sweep_any)
+    monkeypatch.setattr(global_search, "_sweep", ref_sweep)
     monkeypatch.setattr(global_search, "_scan_merges", ref_scan_merges)
     ref = [louvain(graph, objective, priors, make_rng(seed)) for seed in range(3)]
     for g, r in zip(got, ref):
@@ -151,7 +146,7 @@ def test_gsbm_moves_and_tracked_objective_equal_the_reference(name, graph, monke
     # change that lost its last bits would show even where no decision moves.
     m, pairs = graph.edge_count, global_search._pairs(graph.node_count)
     runs = []
-    for sweep in (_sweep, ref_sweep_any):
+    for sweep in (_sweep, ref_sweep):
         monkeypatch.setattr(global_search, "_sweep", sweep)
         for seed in range(3):
             audit = []
@@ -205,12 +200,14 @@ def test_scan_adds_the_prior_terms_in_the_reference_order():
 class _TieGain:
     """Prices node 0's moves by price(d_e, s_b) and every other move at -1.
 
-    Its change depends on the target only through (links, size), as the
-    grouped sweep requires. Records the targets it was asked to price.
+    Its change depends on the target only through (links, size), so the
+    sweep may group when links_size_only says so. Records the targets it
+    was asked to price.
     """
 
-    def __init__(self, price):
+    def __init__(self, price, links_size_only):
         self.price, self.priced = price, []
+        self.links_size_only = links_size_only
 
     def move(self, u, a, b, d_e, s_u, s_a, s_b):
         if u != 0:
@@ -222,7 +219,7 @@ class _TieGain:
         pass
 
 
-def tie_sweep(sweep, price, **kwargs):
+def tie_sweep(sweep, price, grouped):
     """Node 0 (community 0 with the isolated node 6) sees communities 2 =
     {1, 2} and 1 = {3, 4}, with equal links and size, 3 = {5}, and a fresh
     singleton. The prior table is zero, so price alone decides. Returns
@@ -233,31 +230,31 @@ def tie_sweep(sweep, price, **kwargs):
     csize = dict(enumerate(np.bincount(comm).tolist()))
     prior = _PriorTracker(2.0, sup.size)
     prior.table = [0.0] * len(prior.table)
-    gain = _TieGain(price)
-    assert sweep(sup, comm, csize, prior, gain, make_rng(0), **kwargs) == 1
+    gain = _TieGain(price, grouped)
+    assert sweep(sup, comm, csize, prior, gain, make_rng(0)) == 1
     return int(comm[0]), gain.priced
 
 
-SWEEPS = [(ref_sweep, {}), (_sweep, {}), (_sweep, {"_by_links_size": True})]
+SWEEPS = [(ref_sweep, False), (_sweep, False), (_sweep, True)]
 SWEEP_IDS = ["reference", "every-candidate", "by-links-size"]
 
 
-@pytest.mark.parametrize("sweep, kwargs", SWEEPS, ids=SWEEP_IDS)
-def test_equal_links_and_size_go_to_the_lower_id(sweep, kwargs):
+@pytest.mark.parametrize("sweep, grouped", SWEEPS, ids=SWEEP_IDS)
+def test_equal_links_and_size_go_to_the_lower_id(sweep, grouped):
     # Communities 1 and 2 both take two links and tie; 1 wins though its
     # members come second in node 0's row.
-    assert tie_sweep(sweep, lambda d_e, s_b: float(d_e), **kwargs)[0] == 1
+    assert tie_sweep(sweep, lambda d_e, s_b: float(d_e), grouped)[0] == 1
 
 
-@pytest.mark.parametrize("sweep, kwargs", SWEEPS, ids=SWEEP_IDS)
-def test_a_fresh_singleton_loses_an_exact_tie(sweep, kwargs):
+@pytest.mark.parametrize("sweep, grouped", SWEEPS, ids=SWEEP_IDS)
+def test_a_fresh_singleton_loses_an_exact_tie(sweep, grouped):
     # Community 3 (size 1) and the fresh singleton (size 0) tie at the top.
-    assert tie_sweep(sweep, lambda d_e, s_b: 1.0 if s_b < 2 else 0.5, **kwargs)[0] == 3
+    assert tie_sweep(sweep, lambda d_e, s_b: 1.0 if s_b < 2 else 0.5, grouped)[0] == 3
 
 
 def test_grouped_sweep_prices_each_group_once_by_its_lowest_id():
-    _, every = tie_sweep(_sweep, lambda d_e, s_b: float(d_e))
-    _, grouped = tie_sweep(_sweep, lambda d_e, s_b: float(d_e), _by_links_size=True)
+    _, every = tie_sweep(_sweep, lambda d_e, s_b: float(d_e), False)
+    _, grouped = tie_sweep(_sweep, lambda d_e, s_b: float(d_e), True)
     assert every == [1, 2, 3, -1]
     assert grouped == [1, 3, -1]
 
@@ -290,5 +287,7 @@ def test_grouped_sweep_never_applies_a_nan_move():
     comm = np.arange(sup.n, dtype=np.int64)
     csize = dict(enumerate(sup.size))
     prior = _PriorTracker(2.0, sup.size)
-    assert _sweep(sup, comm, csize, prior, _NanGain(), make_rng(0), _by_links_size=True) == 0
+    gain = _NanGain()
+    gain.links_size_only = True
+    assert _sweep(sup, comm, csize, prior, gain, make_rng(0)) == 0
     assert np.array_equal(comm, np.arange(sup.n))
