@@ -25,7 +25,8 @@ class Graph:
         indptr: int64 array of N + 1 offsets into indices.
         indices: int64 array of 2M neighbor ids; the neighbors of node i are
             indices[indptr[i]:indptr[i + 1]], in ascending order.
-        degrees: int64 array, degrees[i] = indptr[i + 1] - indptr[i].
+        degrees: int64 array, degrees[i] = indptr[i + 1] - indptr[i];
+            degree(i) reads the same values from a list of Python ints.
         node_labels: dict external id -> dense internal index (identity-free
             graphs built in memory use i -> i).
         external_ids: list, inverse of node_labels.
@@ -33,7 +34,7 @@ class Graph:
             were ignored to keep the graph simple.
     """
 
-    __slots__ = ("node_count", "edge_count", "indptr", "indices", "degrees",
+    __slots__ = ("node_count", "edge_count", "indptr", "indices", "degrees", "_degree_list",
                  "node_labels", "external_ids", "dropped_duplicates", "dropped_self_loops")
 
     def __init__(self, node_count, edges, external_ids=None,
@@ -75,6 +76,7 @@ class Graph:
         self.node_count = node_count
         self.edge_count = len(pairs)
         self.indptr, self.indices, self.degrees = indptr, indices, degrees
+        self._degree_list = degrees.tolist()
         if external_ids is None:
             external_ids = list(range(node_count))
         self.node_labels = {ext: i for i, ext in enumerate(external_ids)}
@@ -92,7 +94,8 @@ class Graph:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def degree(self, i):
-        return int(self.degrees[i])
+        """Degree of node i as a Python int, read from a list, not the array."""
+        return self._degree_list[i]
 
     def within_edges(self, labels):
         """Number of edges whose two ends carry the same label.

@@ -9,20 +9,27 @@ degrees, so its cost scales with the recovered community's volume rather
 than the graph size. A search stalled at the bare seed tries a few losing
 first additions before it gives up (the first-step fallback of
 greedy_expand), since a score's per-community prior can price every pair
-below the seed. Restarts from one seed, and the repeated scans of a
-frontier, offer many of the same candidates, so detect scores each
-distinct candidate once per call.
+below the seed.
 
-A candidate is a CommunityStats named tuple built by add_node_delta; it is
-also the memo's key, hashed and compared in C. add_node_delta and the two
-scores are looked up as module globals at each call, never bound once in a
-closure, so a wrapper installed on this module's names (a tracer, a test's
-monkeypatch) sees every call.
+Most candidates repeat work already done, and two exact reductions skip it.
+At one community a candidate's stats depend only on its (links, degree)
+class, so an expansion skips a frontier node whose class has already lost
+there; the set of lost classes empties whenever the community changes.
+Restarts from one seed offer many of the same candidates again, and many
+candidates differ only in fields their score does not read, so detect
+scores each distinct value of those fields (SCORE_READS) once per call.
+
+A candidate is a CommunityStats named tuple built by add_node_delta; the
+memo keys on a plain tuple of its fields, hashed and compared in C.
+add_node_delta and the two scores are looked up as module globals at each
+call, never bound once in a closure, so a wrapper installed on this
+module's names (a tracer, a test's monkeypatch) sees every call.
 """
 
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .dcbm import DcbmPriors, adcbm_log_score, formal_n_totals
 from .graph import add_node_delta, community_stats
@@ -72,6 +79,10 @@ class DetectionResult:
 MAX_PASSES = 100
 FIRST_STEP_CAP = 4
 
+# The CommunityStats fields each method's score reads, which key detect's
+# memo: asbm_log_score reads n and w only, adcbm_log_score all four fields.
+SCORE_READS = {"asbm": itemgetter(0, 1), "adcbm": itemgetter(0, 1, 2, 3)}
+
 
 def _grow(graph, members, links, u):
     """Add frontier node u to members and move its edges into links."""
@@ -119,10 +130,15 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0):
     per-community prior can make every pair score below the seed even when
     the seed's whole community scores above it.
 
+    A frontier node whose (links, degree) class already lost at the current
+    community is skipped without building its stats: it would build the
+    same stats and, for a pure scorer, get the same score.
+
     Args:
         graph: Graph.
         seed: dense node index to grow from.
-        scorer: callable CommunityStats -> float (higher is better).
+        scorer: callable CommunityStats -> float (higher is better); a pure
+            function of the stats, which the skip relies on.
         rng: numpy Generator driving the frontier shuffles.
         alpha: Gamma shape used in the incremental sufficient statistics.
 
@@ -145,6 +161,9 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0):
 
     # Frontier node -> number of its edges into the community.
     links = Counter(graph.neighbors(seed).tolist())
+    # (links, degree) classes that lost at the current community: any node
+    # of such a class would build the same stats there and lose again.
+    rejected = set()
     passes = 0
     while passes < MAX_PASSES:
         passes += 1
@@ -152,13 +171,20 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0):
         rng.shuffle(order)
         added_any = False
         for u in order:
-            cand = add_node_delta(stats, graph, u, links[u], alpha)
+            link = links[u]
+            cls = (link, graph.degree(u))
+            if cls in rejected:
+                continue
+            cand = add_node_delta(stats, graph, u, link, alpha)
             cand_score = scorer(cand)
             if cand_score > score:
                 _grow(graph, members, links, u)
                 stats = cand
                 score = cand_score
                 added_any = True
+                rejected.clear()
+            else:
+                rejected.add(cls)
         if not added_any:
             grown = None
             if len(members) == 1:
@@ -166,6 +192,7 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0):
             if grown is None:
                 break
             members, links, stats, score = grown
+            rejected.clear()
     return DetectionResult(members, score, stats, passes=passes)
 
 
@@ -187,22 +214,25 @@ def detect(graph, seed, cfg):
 
     Restart r draws its shuffles from the stream rng_seed XOR r; ties in the
     final score go to the lower restart index, which keeps the outcome
-    deterministic even if restarts were run concurrently. Each distinct
-    candidate is scored once per call: the score is a pure function of the
-    candidate's CommunityStats, so restarts and repeated frontier scans reuse
-    it, and the result is the same as scoring every candidate afresh.
+    deterministic even if restarts were run concurrently. The score is a
+    pure function of the CommunityStats fields it reads (SCORE_READS: n and
+    w for aSBM, all four for aDCBM), so each distinct value of them is
+    scored once per call and reused by every restart; the result is the
+    same as scoring every candidate afresh.
 
     Raises:
         ValueError: if seed is outside [0, N) (greedy_expand checks it
         before the first candidate).
     """
     score_of, alpha = make_scorer(graph, cfg)
+    key_of = SCORE_READS[cfg.method]
     memo = {}
 
     def scorer(stats):
-        score = memo.get(stats)
+        key = key_of(stats)
+        score = memo.get(key)
         if score is None:
-            score = memo[stats] = score_of(stats)
+            score = memo[key] = score_of(stats)
         return score
 
     best = None

@@ -8,9 +8,15 @@ verbatim, docstrings cut to one line): the dataclass-based aDCBM fit and
 bound, and the aSBM score over a frozen EdgeCounts, its clamped tilde counts
 and the likelihood adapter. The random stats include degenerate, edgeless,
 singleton and inconsistent ones.
+
+The search itself is compared with == against a copy of the greedy loop as
+it was before it skipped candidates of already rejected (links, degree)
+classes, run under a memo keyed on the full stats: every candidate is built
+and scored on every pass.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +30,24 @@ from blockcomm.dcbm import (
     adcbm_log_score,
     local_bound_value,
 )
+from blockcomm import local_search
 from blockcomm.distributions import GammaParams
-from blockcomm.generators import PlantedSpec, sample_dcbm
-from blockcomm.graph import CommunityStats
-from blockcomm.local_search import SearchConfig, detect
-from blockcomm.rng import make_rng
+from blockcomm.evaluation import stats_conductance
+from blockcomm.generators import PlantedSpec, sample_dcbm, sample_sbm
+from blockcomm.graph import CommunityStats, add_node_delta, community_stats
+from blockcomm.local_search import (
+    FIRST_STEP_CAP,
+    MAX_PASSES,
+    DetectionResult,
+    SearchConfig,
+    detect,
+    greedy_expand,
+    make_scorer,
+)
+from blockcomm.rng import derived_rng, make_rng
 from blockcomm.sbm import SbmPriors, asbm_log_score, sbm_log_marginal
+
+from conftest import bridge_graph
 
 
 # The reference: the fit, root and bound as they were before the change.
@@ -384,3 +402,174 @@ def test_asbm_score_equals_the_dataclass_counts_and_adapter():
             seen["singleton"] += stats.n == 1
             seen["fractional-k"] += N % stats.n != 0
     assert min(seen.values()) >= 100, seen
+
+
+# The search reference: the greedy loop and its first-step fallback as they
+# were before rejected classes were skipped, and detect's memo keyed on the
+# full CommunityStats.
+def ref_grow(graph, members, links, u):
+    """Add frontier node u to members and move its edges into links."""
+    members.add(u)
+    del links[u]
+    for x in graph.neighbors(u).tolist():
+        if x not in members:
+            links[x] += 1
+
+
+def ref_first_step(graph, members, links, stats, score, scorer, alpha):
+    """Leave a bare seed whose every single addition scores below it."""
+    members, links = set(members), Counter(links)
+    for _ in range(FIRST_STEP_CAP):
+        best = None
+        for u in sorted(links):
+            cand = add_node_delta(stats, graph, u, links[u], alpha)
+            cand_score = scorer(cand)
+            if best is None or cand_score > best[0]:
+                best = (cand_score, u, cand)
+        if best is None:
+            return None
+        cand_score, u, stats = best
+        ref_grow(graph, members, links, u)
+        if cand_score > score:
+            return members, links, stats, cand_score
+    return None
+
+
+def ref_greedy_expand(graph, seed, scorer, rng, alpha=1.0):
+    """One greedy expansion from a single seed node."""
+    stats = community_stats(graph, {seed}, alpha)
+    score = scorer(stats)
+    members = {seed}
+    if graph.degree(seed) == 0:
+        return DetectionResult({seed}, score, stats, passes=0)
+    links = Counter(graph.neighbors(seed).tolist())
+    passes = 0
+    while passes < MAX_PASSES:
+        passes += 1
+        order = sorted(links)
+        rng.shuffle(order)
+        added_any = False
+        for u in order:
+            cand = add_node_delta(stats, graph, u, links[u], alpha)
+            cand_score = scorer(cand)
+            if cand_score > score:
+                ref_grow(graph, members, links, u)
+                stats = cand
+                score = cand_score
+                added_any = True
+        if not added_any:
+            grown = None
+            if len(members) == 1:
+                grown = ref_first_step(graph, members, links, stats, score, scorer, alpha)
+            if grown is None:
+                break
+            members, links, stats, score = grown
+    return DetectionResult(members, score, stats, passes=passes)
+
+
+def ref_detect(graph, seed, cfg):
+    """Best-of-restarts greedy detection."""
+    score_of, alpha = make_scorer(graph, cfg)
+    memo = {}
+
+    def scorer(stats):
+        score = memo.get(stats)
+        if score is None:
+            score = memo[stats] = score_of(stats)
+        return score
+
+    best = None
+    for r in range(cfg.restarts):
+        rng = derived_rng(cfg.rng_seed, r)
+        result = ref_greedy_expand(graph, seed, scorer, rng, alpha=alpha)
+        result.restart_index = r
+        if best is None or result.log_score > best.log_score:
+            best = result
+    return best
+
+
+def planted_sbm_graph():
+    spec = PlantedSpec(communities=6, size=15, lambda_in=0.45, lambda_out=0.02)
+    return sample_sbm(spec, make_rng(29))[0]
+
+
+SEARCH_GRAPHS = {"sbm": planted_sbm_graph, "dcbm": golden_graph, "bridge": bridge_graph}
+
+# (graph, method, seed, rng_seed, formal_N); restarts=5.
+SEARCH_CASES = [
+    (graph, method, seed, rng_seed, None)
+    for graph in ("sbm", "dcbm")
+    for method in ("asbm", "adcbm")
+    for seed, rng_seed in ((0, 0), (17, 3), (44, 8), (71, 12))
+] + [
+    ("sbm", "asbm", 30, 1, 400),
+    ("sbm", "adcbm", 30, 1, 400),
+    ("dcbm", "asbm", 52, 6, 2000),
+    ("dcbm", "adcbm", 52, 6, 2000),
+    ("bridge", "asbm", 0, 0, None),
+    ("bridge", "adcbm", 5, 2, None),
+]
+
+
+def assert_same_result(got, want):
+    assert got.members == want.members
+    assert got.log_score == want.log_score
+    assert got.stats == want.stats
+    assert (got.passes, got.restart_index) == (want.passes, want.restart_index)
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_detect_equals_the_every_candidate_loop(case):
+    graph_name, method, seed, rng_seed, formal_n = case
+    graph = SEARCH_GRAPHS[graph_name]()
+    cfg = SearchConfig(method=method, restarts=5, rng_seed=rng_seed, formal_N=formal_n)
+    assert_same_result(detect(graph, seed, cfg), ref_detect(graph, seed, cfg))
+
+
+def test_the_bridge_case_takes_the_first_step_fallback(monkeypatch):
+    calls = []
+    first_step = local_search._first_step
+
+    def counting(*args):
+        calls.append(args)
+        return first_step(*args)
+
+    monkeypatch.setattr(local_search, "_first_step", counting)
+    detect(bridge_graph(), 0, SearchConfig(method="asbm", restarts=5, rng_seed=0))
+    assert calls
+
+
+def neg_conductance(stats):
+    return -stats_conductance(stats)
+
+
+def edges_less_log_size(stats):
+    """w - 4 log n: a node with l links wins once 4 log((n + 1) / n) < l.
+
+    That price falls as the community grows, so a (links, degree) class
+    that lost can win at a later community. No pair beats the bare seed,
+    so every search takes the first-step fallback.
+    """
+    return stats.w - 4.0 * math.log(stats.n)
+
+
+def edges_less_odd_size_price(stats):
+    """w, less 1.5 at an odd size and 50 per node beyond 10.
+
+    A node with one link loses where it would make the size odd and wins
+    one node later, so a (links, degree) class that lost can win at a later
+    community of the same pass.
+    """
+    return stats.w - 1.5 * (stats.n % 2) - 50.0 * max(0, stats.n - 10)
+
+
+@pytest.mark.parametrize("scorer", [neg_conductance, edges_less_log_size,
+                                    edges_less_odd_size_price], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("graph_name", list(SEARCH_GRAPHS))
+def test_greedy_expand_with_a_custom_scorer_equals_the_every_candidate_loop(graph_name, scorer):
+    graph = SEARCH_GRAPHS[graph_name]()
+    for seed, rng_seed in ((0, 0), (3, 4), (6, 6), (10, 3), (44, 2)):
+        seed %= graph.node_count
+        got = greedy_expand(graph, seed, scorer, derived_rng(rng_seed, 0))
+        want = ref_greedy_expand(graph, seed, scorer, derived_rng(rng_seed, 0))
+        assert_same_result(got, want)

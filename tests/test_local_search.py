@@ -9,6 +9,7 @@ import pytest
 
 from blockcomm import local_search
 from blockcomm.dcbm import DcbmPriors
+from blockcomm.evaluation import stats_conductance
 from blockcomm.generators import PlantedSpec, sample_sbm
 from blockcomm.graph import Graph, community_stats, load_edge_list
 from blockcomm.local_search import (
@@ -313,13 +314,16 @@ class TestScoreOnce:
     @pytest.mark.parametrize("method,score_name",
                              [("asbm", "asbm_log_score"), ("adcbm", "adcbm_log_score")])
     def test_each_distinct_candidate_scored_once(self, monkeypatch, method, score_name):
+        # A score is keyed on the stats fields it reads: n and w for aSBM,
+        # all four for aDCBM.
+        reads = {"asbm": 2, "adcbm": 4}[method]
         g = planted_fixture()
         cfg = SearchConfig(method=method, restarts=6, rng_seed=2)
         score = getattr(local_search, score_name)
         calls = Counter()
 
         def counting(stats, *args):
-            calls[stats] += 1
+            calls[stats[:reads]] += 1
             return score(stats, *args)
 
         monkeypatch.setattr(local_search, score_name, counting)
@@ -329,6 +333,34 @@ class TestScoreOnce:
         calls.clear()
         reference_detect(g, 0, cfg)
         assert max(calls.values()) > 1
+
+    @pytest.mark.parametrize("method", ["asbm", "adcbm", "conductance"])
+    def test_expansion_prices_each_class_once_per_community(self, monkeypatch, method):
+        # Passes grow the community one node at a time, so a candidate's
+        # stats name its community (by n) and its (links, degree) class (by
+        # w and v): a repeated stats is a class priced twice at one
+        # community. These searches never take the first-step fallback,
+        # which prices the bare seed's frontier afresh.
+        g = planted_fixture()
+        if method == "conductance":
+            score, alpha = (lambda stats: -stats_conductance(stats)), 1.0
+        else:
+            score, alpha = make_scorer(g, SearchConfig(method=method))
+
+        def no_fallback(*args):
+            raise AssertionError("the first-step fallback fired")
+
+        monkeypatch.setattr(local_search, "_first_step", no_fallback)
+        for seed, rng_seed in ((0, 0), (17, 5), (5, 1), (24, 7), (40, 2)):
+            calls = Counter()
+
+            def counting(stats):
+                calls[stats] += 1
+                return score(stats)
+
+            res = greedy_expand(g, seed, counting, derived_rng(rng_seed, 0), alpha=alpha)
+            assert len(res.members) > 1
+            assert max(calls.values()) == 1
 
     @pytest.mark.parametrize("method", ["asbm", "adcbm"])
     def test_result_equals_memo_free_search(self, method):
