@@ -22,10 +22,11 @@ starts, nor by objective_value on the Partition it returns.
 
 A level whose moving phase stalls tries a coarser partition, proposed for
 both objectives through the scale-free SBM contrast: gSBM runs a greedy
-merge scan (its merges resolve as connected components) priced by its own
-gain; gDCBM runs the gSBM moving phase, and the SBM-priced scan only when
-no node moves there. The candidate is adopted only if its true objective
-is higher.
+merge scan priced by its own gain (one backward walk over the applied
+merges groups the super-nodes, each group named by its lowest member);
+gDCBM runs the gSBM moving phase, and the SBM-priced scan only when no
+node moves there. The candidate is adopted only if its true objective is
+higher.
 """
 
 import math
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 from scipy.special import psi
 
 from .dcbm import VbPartition, initial_variational_state, vb_bound, vb_update
@@ -499,10 +499,17 @@ def _scan_merges(sup, gain, prior):
 
 
 def _resolve_merges(n, ops):
-    """Community array over super-nodes after merge ops, ordered by lowest member."""
-    keep, absorb = zip(*ops)
-    merged = sparse.coo_array((np.ones(len(ops)), (keep, absorb)), shape=(n, n))
-    return connected_components(merged, directed=False)[1]
+    """Community array over super-nodes after merge ops, ordered by lowest member.
+
+    The scan keeps the lower id of each merged pair and never names an
+    absorbed id again. So in a backward walk over the ops a keeper already
+    holds its final head when its absorbed node copies it, and every
+    super-node ends at the lowest member of its merged group.
+    """
+    head = list(range(n))
+    for keep, absorb in reversed(ops):
+        head[absorb] = head[keep]
+    return dense_labels(head, n)
 
 
 def _merge_bootstrap(graph, sup, orig_to_super, objective, priors, cur, rng, fits):

@@ -161,7 +161,10 @@ def load_edge_list(stream):
     comment after an edge, and every id fits in int64; anything else (and
     every malformed line) goes through the per-line parser, which accepts
     what int() accepts and names the first bad line. Both give the same
-    Graph for any input both accept.
+    Graph for any input both accept. The per-line parser numbers ids as it
+    reads them; bulk ids are numbered through a table over their span when
+    that span (max - min + 1) is at most twice their count, and by
+    np.unique otherwise (see _first_appearance_labels).
 
     Args:
         stream: iterable of text lines (open file, list of strings, ...).
@@ -181,7 +184,7 @@ def load_edge_list(stream):
         ends, external_ids = _first_appearance_labels(ids)
         del ids
     n = len(external_ids)
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
     keys = (lo * n + hi)[lo != hi]
     loops = len(ends) - len(keys)
     keys.sort()
@@ -226,9 +229,36 @@ def _first_appearance_labels(ids):
     """(dense (M, 2) ends, external ids) of an (M, 2) id array.
 
     Dense indices follow first appearance in the order u1 v1 u2 v2 ...;
-    the external ids are Python ints.
+    the external ids are Python ints. Compact ids, whose span max - min + 1
+    is at most twice the 2M ids, go through _table_labels; sparser ones, up
+    to the whole int64 range, through _unique_labels. Both give the same
+    labels wherever both can run.
     """
-    uniq, first, inverse = np.unique(ids.ravel(), return_index=True, return_inverse=True)
+    flat = ids.ravel()
+    lo = int(flat.min())
+    span = int(flat.max()) - lo + 1  # Python ints: ids near +-2**63 cannot overflow
+    if span <= 2 * len(flat):
+        return _table_labels(flat, lo, span)
+    return _unique_labels(flat)
+
+
+def _table_labels(flat, lo, span):
+    """_first_appearance_labels of ids in [lo, lo + span), through a table
+    over the span: each slot holds its id's first position, and one argsort
+    of the present slots ranks them. O(M + span) time and memory."""
+    count = len(flat)
+    slots = flat - lo
+    table = np.full(span, count, dtype=np.int64)
+    np.minimum.at(table, slots, np.arange(count))
+    present = np.flatnonzero(table < count)
+    seen = present[np.argsort(table[present])]
+    table[seen] = np.arange(len(seen))
+    return table[slots].reshape(-1, 2), (seen + lo).tolist()
+
+
+def _unique_labels(flat):
+    """_first_appearance_labels of any int64 ids, through np.unique."""
+    uniq, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
     order = np.argsort(first, kind="stable")
     rank = np.empty(len(uniq), dtype=np.int64)
     rank[order] = np.arange(len(uniq))

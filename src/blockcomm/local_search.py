@@ -93,11 +93,14 @@ def _grow(graph, members, links, u):
             links[x] += 1
 
 
-def _first_step(graph, members, links, stats, score, scorer, alpha):
+def _first_step(graph, members, links, stats, score, scorer, alpha, priced):
     """Leave a bare seed whose every single addition scores below it.
 
     Adds the best-scoring frontier node (the lowest id among ties), even at
     a loss, up to FIRST_STEP_CAP times, on copies of members and links.
+    Nodes of one (links, degree) class score alike, so each step prices
+    only its lowest id; the first step takes its classes' scores from
+    priced ({class: score} at the bare seed) instead of pricing them again.
 
     Returns:
         (members, links, stats, score) of the first prefix that scores above
@@ -105,18 +108,24 @@ def _first_step(graph, members, links, stats, score, scorer, alpha):
     """
     members, links = set(members), Counter(links)
     for _ in range(FIRST_STEP_CAP):
-        best = None
+        lowest = {}
         for u in sorted(links):
-            cand = add_node_delta(stats, graph, u, links[u], alpha)
-            cand_score = scorer(cand)
+            lowest.setdefault((links[u], graph.degree(u)), u)
+        best = None
+        for cls, u in lowest.items():
+            cand_score = priced.get(cls)
+            if cand_score is None:
+                cand_score = scorer(add_node_delta(stats, graph, u, cls[0], alpha))
             if best is None or cand_score > best[0]:
-                best = (cand_score, u, cand)
+                best = (cand_score, u)
         if best is None:
             return None
-        cand_score, u, stats = best
+        cand_score, u = best
+        stats = add_node_delta(stats, graph, u, links[u], alpha)
         _grow(graph, members, links, u)
         if cand_score > score:
             return members, links, stats, cand_score
+        priced = {}
     return None
 
 
@@ -161,9 +170,10 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0):
 
     # Frontier node -> number of its edges into the community.
     links = Counter(graph.neighbors(seed).tolist())
-    # (links, degree) classes that lost at the current community: any node
-    # of such a class would build the same stats there and lose again.
-    rejected = set()
+    # (links, degree) class -> its losing score at the current community:
+    # any node of such a class would build the same stats there and lose
+    # again.
+    rejected = {}
     passes = 0
     while passes < MAX_PASSES:
         passes += 1
@@ -184,11 +194,12 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0):
                 added_any = True
                 rejected.clear()
             else:
-                rejected.add(cls)
+                rejected[cls] = cand_score
         if not added_any:
             grown = None
             if len(members) == 1:
-                grown = _first_step(graph, members, links, stats, score, scorer, alpha)
+                grown = _first_step(graph, members, links, stats, score, scorer, alpha,
+                                    rejected)
             if grown is None:
                 break
             members, links, stats, score = grown

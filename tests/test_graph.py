@@ -94,12 +94,31 @@ class TestLoadEdgeList:
             assert nb == sorted(nb)
 
 
-def load_outcome(lines, per_line_only=False):
+def table_labels(ids):
+    """_first_appearance_labels through the span table, whatever the span."""
+    flat = np.asarray(ids, dtype=np.int64).ravel()
+    lo = int(flat.min())
+    return graph_module._table_labels(flat, lo, int(flat.max()) - lo + 1)
+
+
+def unique_labels(ids):
+    """_first_appearance_labels through np.unique, whatever the span."""
+    return graph_module._unique_labels(np.asarray(ids, dtype=np.int64).ravel())
+
+
+RELABEL = {"table": table_labels, "unique": unique_labels}
+
+
+def load_outcome(lines, per_line_only=False, relabel=None):
     """What load_edge_list makes of lines: the graph's arrays, external ids
-    (with their types) and drop counts, or the ValueError's message."""
+    (with their types) and drop counts, or the ValueError's message.
+    relabel ('table' or 'unique') forces that path for bulk-parsed ids."""
     parse_bulk = graph_module._bulk_ids
+    first_appearance = graph_module._first_appearance_labels
     if per_line_only:
         graph_module._bulk_ids = lambda lines: None
+    if relabel is not None:
+        graph_module._first_appearance_labels = RELABEL[relabel]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -108,6 +127,7 @@ def load_outcome(lines, per_line_only=False):
         return ("error", str(err))
     finally:
         graph_module._bulk_ids = parse_bulk
+        graph_module._first_appearance_labels = first_appearance
     return (g.indptr.tolist(), g.indices.tolist(), g.external_ids,
             [type(x) for x in g.external_ids], g.node_labels,
             g.dropped_duplicates, g.dropped_self_loops)
@@ -144,7 +164,10 @@ class TestBulkMatchesPerLine:
     def test_bulk_inputs(self, text):
         lines = text.splitlines(keepends=True)
         assert graph_module._bulk_ids(lines) is not None
-        assert load_outcome(lines) == load_outcome(lines, per_line_only=True)
+        want = load_outcome(lines, per_line_only=True)
+        assert load_outcome(lines) == want
+        for relabel in RELABEL:
+            assert load_outcome(lines, relabel=relabel) == want, relabel
 
     @pytest.mark.parametrize("text", FALLBACK.values(), ids=FALLBACK.keys())
     def test_fallback_inputs(self, text):
@@ -176,8 +199,67 @@ class TestBulkMatchesPerLine:
                     line = "".join(rnd.choice(noise) for _ in range(rnd.randint(0, 8)))
                 lines.append(line + rnd.choice(["\n", "\n", "\r\n", ""]))
             bulk += graph_module._bulk_ids(lines) is not None
-            assert load_outcome(lines) == load_outcome(lines, per_line_only=True), lines
+            want = load_outcome(lines, per_line_only=True)
+            assert load_outcome(lines) == want, lines
+            for relabel in RELABEL:
+                assert load_outcome(lines, relabel=relabel) == want, (relabel, lines)
         assert 500 < bulk < 2500
+
+
+def refuse(*args):
+    raise AssertionError("this relabel path must not run here")
+
+
+def labels_outcome(result):
+    """(dense ends, external ids, their types) of a relabel result."""
+    ends, external_ids = result
+    return ends.tolist(), external_ids, [type(x) for x in external_ids]
+
+
+class TestRelabelPaths:
+    """Bulk ids are numbered by first appearance through a table over their
+    span when it is at most twice the id count, and by np.unique otherwise;
+    both give the same ends and Python-int external ids."""
+
+    def check(self, monkeypatch, ids, path, want_ends, want_ids, both=True):
+        """_first_appearance_labels takes path and numbers ids as want_*;
+        so does the other path when both is set."""
+        want = labels_outcome((np.array(want_ends), want_ids))
+        for relabel in (RELABEL if both else [path]):
+            assert labels_outcome(RELABEL[relabel](ids)) == want, relabel
+        other = "_unique_labels" if path == "table" else "_table_labels"
+        monkeypatch.setattr(graph_module, other, refuse)
+        got = graph_module._first_appearance_labels(np.array(ids, dtype=np.int64))
+        assert labels_outcome(got) == want
+
+    def test_compact_ids_with_gaps(self, monkeypatch):
+        ids = [[10, 3], [7, 10], [3, 12], [15, 7]]  # span 13 of 8 ids
+        want = [[0, 1], [2, 0], [1, 3], [4, 2]]
+        self.check(monkeypatch, ids, "table", want, [10, 3, 7, 12, 15])
+
+    def test_negative_ids(self, monkeypatch):
+        ids = [[-5, -2], [-2, 0], [0, -5], [-1, -4]]  # span 6 of 8 ids
+        want = [[0, 1], [1, 2], [2, 0], [3, 4]]
+        self.check(monkeypatch, ids, "table", want, [-5, -2, 0, -1, -4])
+
+    @pytest.mark.parametrize("base", [-2**63, 2**63 - 4], ids=["int64-min", "int64-max"])
+    def test_compact_ids_at_the_int64_ends(self, monkeypatch, base):
+        ids = [[base + 3, base], [base + 1, base + 3]]
+        self.check(monkeypatch, ids, "table", [[0, 1], [2, 0]], [base + 3, base, base + 1])
+
+    def test_int64_extremes_take_the_unique_path(self, monkeypatch):
+        hi, lo = 2**63 - 1, -2**63  # a span of 2**64 has no table
+        self.check(monkeypatch, [[hi, lo], [0, hi]], "unique", [[0, 1], [2, 0]], [hi, lo, 0],
+                   both=False)
+        lines = [f"{hi} {lo}\n", f"0 {hi}\n"]
+        assert graph_module._bulk_ids(lines) is not None
+        assert load_outcome(lines) == load_outcome(lines, per_line_only=True)
+
+    @pytest.mark.parametrize("span, path", [(8, "table"), (9, "unique")],
+                             ids=["inside", "outside"])
+    def test_span_at_the_threshold(self, monkeypatch, span, path):
+        ids = [[0, span - 1], [3, 5]]  # 4 ids: the table takes spans up to 8
+        self.check(monkeypatch, ids, path, [[0, 1], [2, 3]], [0, span - 1, 3, 5])
 
 
 class TestRoundTrip:

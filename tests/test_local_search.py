@@ -340,7 +340,7 @@ class TestScoreOnce:
         # stats name its community (by n) and its (links, degree) class (by
         # w and v): a repeated stats is a class priced twice at one
         # community. These searches never take the first-step fallback,
-        # which prices the bare seed's frontier afresh.
+        # which the bridge-graph test below covers.
         g = planted_fixture()
         if method == "conductance":
             score, alpha = (lambda stats: -stats_conductance(stats)), 1.0
@@ -361,6 +361,24 @@ class TestScoreOnce:
             res = greedy_expand(g, seed, counting, derived_rng(rng_seed, 0), alpha=alpha)
             assert len(res.members) > 1
             assert max(calls.values()) == 1
+
+    def test_fallback_prices_each_class_once_per_community(self):
+        # On the bridge graph every pair scores below the bare seed under
+        # aSBM, so the first pass stalls and the fallback adds at a loss.
+        # Its first step reuses the pass's scores at the bare seed, and each
+        # later step prices one node per (links, degree) class; a prefix's
+        # stats name its community and class as in the test above.
+        g = bridge_graph()
+        score, alpha = make_scorer(g, SearchConfig(method="asbm"))
+        calls = Counter()
+
+        def counting(stats):
+            calls[stats] += 1
+            return score(stats)
+
+        res = greedy_expand(g, 0, counting, derived_rng(0, 0), alpha=alpha)
+        assert res.members == {0, 1, 2, 3}
+        assert max(calls.values()) == 1
 
     @pytest.mark.parametrize("method", ["asbm", "adcbm"])
     def test_result_equals_memo_free_search(self, method):
