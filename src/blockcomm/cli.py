@@ -2,10 +2,11 @@
 
 Commands: detect (seed expansion), global (Louvain partition), generate
 (planted samples), eval (protocol metrics), nsweep (resolution sweep).
-Every run writes a JSON manifest capturing the command, flags, rng seed,
-input checksum, and wall time. Exit codes: 0 success, 1 I/O or file-format
-problems, 2 usage or domain errors (an unknown node id in any input file
-among them).
+main frames every run: it times it, prints each distinct warning once as
+`warning: <message>` and keeps it as a manifest note, and on success writes
+the JSON manifest (command, flags, rng seed, input checksum, wall time,
+notes). Exit codes: 0 success, 1 I/O or file-format problems, 2 usage or
+domain errors (an unknown node id in any input file among them).
 """
 
 import argparse
@@ -14,6 +15,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -51,8 +53,8 @@ class RunManifest:
     graph_checksum: str | None
     version: str
     wall_time_s: float
-    columns: tuple | None = None
-    notes: str = ""
+    columns: tuple | None
+    notes: str
 
 
 def _checksum(path):
@@ -63,20 +65,20 @@ def _checksum(path):
     return h.hexdigest()
 
 
-def _write_manifest(path, command, args, graph_path, started, columns=None,
-                    notes=""):
+def _write_manifest(args, started, columns, notes):
     flags = {k: v for k, v in vars(args).items() if k != "func"}
+    graph_path = getattr(args, "graph", None)
     manifest = RunManifest(
-        command=command,
+        command=args.command,
         flags=flags,
-        rng_seed=getattr(args, "rng_seed", 0),
+        rng_seed=args.rng_seed,
         graph_checksum=_checksum(graph_path) if graph_path else None,
         version=__version__,
         wall_time_s=time.perf_counter() - started,
         columns=columns,
-        notes=notes,
+        notes="; ".join(notes),
     )
-    with open(path, "w") as fh:
+    with open(args.manifest, "w") as fh:
         json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -105,13 +107,10 @@ def _graph_and_truths(args):
     return graph, truths
 
 
-def _failure_notes(rows, prefix=""):
-    """One note per distinct sample error with its count, each also on stderr."""
-    notes = [f"{prefix}{count} failed sample(s): {error}"
-             for error, count in Counter(r.error for r in rows if r.error).items()]
-    for note in notes:
-        print(f"warning: {note}", file=sys.stderr)
-    return notes
+def _warn_failures(rows, prefix=""):
+    """One warning per distinct sample error, with its count."""
+    for error, count in Counter(r.error for r in rows if r.error).items():
+        warnings.warn(f"{prefix}{count} failed sample(s): {error}")
 
 
 def _sbm_priors(args):
@@ -132,7 +131,6 @@ def _search_config(args):
 
 
 def cmd_detect(args):
-    started = time.perf_counter()
     graph = _read(args.graph, load_edge_list)
     if args.seed not in graph.node_labels:
         raise DomainError(f"seed id {args.seed} not present in {args.graph}")
@@ -163,12 +161,9 @@ def cmd_detect(args):
         print(f"log_score={result.log_score:.10g}")
         print(f"n={st.n} w={st.w} v={st.v}")
         print(f"conductance={cond:.10g}")
-    _write_manifest(args.manifest, "detect", args, args.graph, started)
-    return 0
 
 
 def cmd_global(args):
-    started = time.perf_counter()
     graph = _read(args.graph, load_edge_list)
     priors = _sbm_priors(args) if args.method == "gsbm" else _dcbm_priors(args)
     rng = make_rng(args.rng_seed)
@@ -178,12 +173,9 @@ def cmd_global(args):
     value = objective_value(graph, partition, args.method, priors)
     print(f"objective={value:.10g}")
     print(f"communities={len(partition.sizes)}")
-    _write_manifest(args.manifest, "global", args, args.graph, started)
-    return 0
 
 
 def cmd_generate(args):
-    started = time.perf_counter()
     spec = _from_flags(PlantedSpec, communities=args.communities, size=args.size,
                        lambda_in=args.lambda_in, lambda_out=args.lambda_out,
                        model=args.model, dcbm_alpha=args.alpha,
@@ -191,16 +183,21 @@ def cmd_generate(args):
     rng = make_rng(args.rng_seed)
     sampler = sample_sbm if args.model == "sbm" else sample_dcbm
     graph, truth = _from_flags(sampler, spec, rng)
+    if graph.edge_count == 0:
+        raise DomainError("the sample has no edges, which no edge list can hold")
     edges_path = f"{args.out}.edges"
     cmty_path = f"{args.out}.cmty"
+    # The edge list names only nodes with an edge, so the truth may name no other.
+    truth = [{i for i in members if graph.degree(i)} for members in truth]
+    left_out = graph.node_count - sum(map(len, truth))
+    if left_out:
+        warnings.warn(f"{cmty_path} leaves out {left_out} node(s) without an edge")
     with open(edges_path, "w") as fh:
         write_edge_list(graph, fh)
     with open(cmty_path, "w") as fh:
         write_communities(truth, graph, fh)
     print(f"nodes={graph.node_count} edges={graph.edge_count}")
     print(f"wrote {edges_path} and {cmty_path}")
-    _write_manifest(args.manifest, "generate", args, None, started)
-    return 0
 
 
 _ROW_HEADER = ("method", "seed", "truth_size", "found_size",
@@ -217,7 +214,6 @@ def _format_row(row, graph):
 
 
 def cmd_eval(args):
-    started = time.perf_counter()
     graph, truths = _graph_and_truths(args)
     cfg = _search_config(args)
     detector = None
@@ -230,6 +226,10 @@ def cmd_eval(args):
 
         def detector(_graph, _seed, _rng):
             return next(replay)
+    if args.samples > len(truths):
+        warnings.warn(f"samples ({args.samples}) exceed the {len(truths)} distinct "
+                      "communities: drawn without replacement until the pool is "
+                      "exhausted, then with replacement")
     rng = make_rng(args.rng_seed)
     rows, summary = _from_flags(run_protocol, graph, truths, cfg, args.samples, rng,
                                 detector=detector)
@@ -240,19 +240,11 @@ def cmd_eval(args):
     print("\t".join(summary))
     print("\t".join(f"{v:.6f}" if isinstance(v, float) else str(v)
                     for v in summary.values()))
-    notes = []
-    if args.samples > len(truths):
-        notes.append(f"samples ({args.samples}) exceed the {len(truths)} distinct "
-                     "communities: drawn without replacement until the pool is "
-                     "exhausted, then with replacement")
-    notes += _failure_notes(rows)
-    _write_manifest(args.manifest, "eval", args, args.graph, started,
-                    columns=_ROW_HEADER, notes="; ".join(notes))
-    return 0
+    _warn_failures(rows)
+    return _ROW_HEADER
 
 
 def cmd_nsweep(args):
-    started = time.perf_counter()
     graph, truths = _graph_and_truths(args)
     try:
         n_values = [int(tok) for tok in args.n_values.replace(",", " ").split()]
@@ -269,14 +261,11 @@ def cmd_nsweep(args):
                         make_rng(args.rng_seed)) for cfg in configs]
     columns = ("formal_n", "mean_f1", "mean_size", "failed")
     print("\t".join(columns))
-    notes = []
     for cfg, (rows, summary) in zip(configs, runs):
         print(f"{cfg.formal_N}\t{summary['mean_f1']:.6f}\t{summary['mean_found_size']:.6f}"
               f"\t{summary['failed']}")
-        notes += _failure_notes(rows, f"--formal-n {cfg.formal_N}: ")
-    _write_manifest(args.manifest, "nsweep", args, args.graph, started,
-                    columns=columns, notes="; ".join(notes))
-    return 0
+        _warn_failures(rows, f"--formal-n {cfg.formal_N}: ")
+    return columns
 
 
 def _add_prior_flags(p):
@@ -306,9 +295,7 @@ def build_parser():
     p.add_argument("--formal-n", type=int, default=None)
     p.add_argument("--restarts", type=int, default=10)
     _add_prior_flags(p)
-    p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("global", help="Louvain partition of the whole graph")
@@ -316,8 +303,6 @@ def build_parser():
     p.add_argument("--method", choices=("gsbm", "gdcbm"), required=True)
     p.add_argument("--out", required=True)
     _add_prior_flags(p)
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_global)
 
     p = sub.add_parser("generate", help="sample a planted-partition graph")
@@ -329,8 +314,6 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--out", required=True, help="output prefix")
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("eval", help="sampled-protocol evaluation")
@@ -341,12 +324,10 @@ def build_parser():
     p.add_argument("--min-size", type=int, default=3)
     p.add_argument("--restarts", type=int, default=10)
     _add_prior_flags(p)
-    p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--formal-n", type=int, default=None)
     p.add_argument("--external-results", default=None,
                    help="precomputed communities, one line per sample")
     p.add_argument("--out", default="eval_rows.tsv")
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("nsweep", help="formal-N resolution sweep")
@@ -360,9 +341,11 @@ def build_parser():
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=1.0)
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_nsweep)
+
+    for p in sub.choices.values():
+        p.add_argument("--rng-seed", type=int, default=0)
+        p.add_argument("--manifest")
     return parser
 
 
@@ -372,8 +355,21 @@ def main(argv=None):
     if args.manifest is None:
         base = getattr(args, "out", None) or args.command
         args.manifest = f"{base}.manifest.json"
+    started = time.perf_counter()
+    notes = []
+
+    def note(message, *_):
+        if str(message) not in notes:
+            notes.append(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = note
+            columns = args.func(args)
+        _write_manifest(args, started, columns, notes)
+        return 0
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

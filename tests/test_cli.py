@@ -89,12 +89,14 @@ class TestDetect:
         # is too small for seed 1").
         with open("g.edges", "w") as fh:
             fh.write("0 2\n2 3\n0 3\n1 1\n")
-        with pytest.warns(UserWarning):
-            rc = cli.main(["detect", "--graph", "g.edges", "--seed", "1",
-                           "--method", "adcbm", *formal_n])
+        rc = cli.main(["detect", "--graph", "g.edges", "--seed", "1",
+                       "--method", "adcbm", *formal_n])
         captured = capsys.readouterr()
         assert rc == 2
-        assert captured.err == "error: seed 1 has no edges: no candidate has a finite score\n"
+        assert captured.err == (
+            "warning: dropped 0 duplicate edge(s) and 1 self-loop(s)\n"
+            "warning: seed node 1 is isolated; returning the singleton\n"
+            "error: seed 1 has no edges: no candidate has a finite score\n")
         assert captured.out == ""
 
     def test_json_output(self, in_tmp, capsys):
@@ -232,6 +234,37 @@ class TestGenerate:
                        "--out", "x"])
         assert rc == 2
         assert "smaller" in capsys.readouterr().err
+
+    def test_sparse_sample_roundtrips_through_eval(self, in_tmp, capsys):
+        # 38 of the 100 planted nodes draw no edge, so the edge list cannot
+        # name them; the truth file leaves them out (once eval exited 2 on
+        # "sp.cmty: line 1: node id 1 not present in the graph").
+        rc = cli.main(["generate", "--model", "sbm", "--communities", "5",
+                       "--size", "20", "--lambda-in", "0.05", "--lambda-out", "0.001",
+                       "--out", "sp", "--rng-seed", "1"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.out == "nodes=100 edges=51\nwrote sp.edges and sp.cmty\n"
+        note = "sp.cmty leaves out 38 node(s) without an edge"
+        assert captured.err == f"warning: {note}\n"
+        assert json.loads(open("sp.manifest.json").read())["notes"] == note
+        with open("sp.edges") as fh:
+            g = load_edge_list(fh)
+        with open("sp.cmty") as fh:
+            truth = load_communities(fh, g, min_size=1)
+        assert sum(map(len, truth)) == g.node_count == 62
+        rc = cli.main(["eval", "--graph", "sp.edges", "--communities", "sp.cmty",
+                       "--method", "asbm", "--samples", "3"])
+        assert rc == 0
+
+    def test_sample_without_edges_exits_2_before_writing(self, in_tmp, capsys):
+        rc = cli.main(["generate", "--model", "sbm", "--communities", "1",
+                       "--size", "1", "--lambda-in", "0.5", "--lambda-out", "0.1",
+                       "--out", "x"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: the sample has no edges, which no edge list can hold\n")
+        assert list(in_tmp.iterdir()) == []
 
     def test_deterministic_files(self, in_tmp, capsys):
         args = ["generate", "--model", "dcbm", "--communities", "3",
@@ -645,3 +678,61 @@ class TestInputFiles:
         options = {name: {s for a in sub._actions for s in a.option_strings}
                    for name, sub in commands.items()}
         assert options == self.OPTIONS
+
+
+class TestRunFrame:
+    # main frames every run: each distinct warning, the library's or a
+    # command's, is one "warning: <message>" line on stderr and one manifest
+    # note, in first-seen order.
+    FOUND = ["detect", "--graph", "g.edges", "--seed", "1", "--method", "asbm",
+             "--manifest", "m.json"]
+    FOUND_NOTES = ["dropped 0 duplicate edge(s) and 1 self-loop(s)",
+                   "seed node 1 is isolated; returning the singleton"]
+
+    def test_library_warnings_are_warning_lines_and_notes(self, in_tmp, capsys):
+        # Node 1 appears only in a dropped self-loop; each of the 10 restarts
+        # warns that it is isolated, and the line prints once.
+        with open("g.edges", "w") as fh:
+            fh.write("0 2\n2 3\n0 3\n1 1\n3 4\n4 5\n5 3\n")
+        for _ in range(2):  # a second run in the same process reads the same
+            assert cli.main(self.FOUND) == 0
+            assert capsys.readouterr().err == "".join(
+                f"warning: {n}\n" for n in self.FOUND_NOTES)
+            assert json.loads(open("m.json").read())["notes"] == "; ".join(self.FOUND_NOTES)
+
+    @pytest.mark.parametrize("argv", [
+        # pool exhausted (4 samples, 3 communities), then a failed sample
+        ["eval", "--graph", "g.edges", "--communities", "g.cmty", "--method", "adcbm",
+         "--samples", "4", "--rng-seed", "0", "--external-results", "ext.txt",
+         "--out", "rows.tsv"],
+        # a repeated formal N fails alike and is noted once
+        ["nsweep", "--graph", "g.edges", "--communities", "g.cmty",
+         "--n-values", "2,3,2,12", "--samples", "1", "--restarts", "1"],
+    ])
+    def test_notes_match_stderr_line_for_line(self, in_tmp, capsys, argv):
+        write_cliques_fixture(in_tmp)
+        with open("ext.txt", "w") as fh:
+            fh.write("8 9 10 11\n0 1 2 3\n4 5 6 7\n4 5 6 7\n")
+        argv = argv + ["--manifest", "m.json"]
+        assert cli.main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        notes = json.loads(open("m.json").read())["notes"].split("; ")
+        assert len(notes) == 2
+        assert err == [f"warning: {n}" for n in notes]
+
+    # the five runs of TestInputFiles.test_default_manifest_names
+    RUNS = [argv for argv, _ in
+            TestInputFiles.test_default_manifest_names.pytestmark[0].args[1]]
+
+    @pytest.mark.parametrize("argv", RUNS, ids=[argv[0] for argv in RUNS])
+    def test_stderr_holds_only_warning_and_error_lines(self, in_tmp, capsys, argv):
+        write_cliques_fixture(in_tmp)
+        with open("g.edges", "a") as fh:
+            fh.write("0 0\n")  # a dropped self-loop, so every graph load warns
+        assert cli.main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        if "--graph" in argv:
+            assert "warning: dropped 0 duplicate edge(s) and 1 self-loop(s)" in err
+        for line in err:
+            assert line.startswith(("warning: ", "error: "))
+            assert "UserWarning" not in line and ".py:" not in line
