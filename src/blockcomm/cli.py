@@ -13,10 +13,10 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 import warnings
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 from . import __version__
@@ -108,9 +108,18 @@ def _graph_and_truths(args):
 
 
 def _warn_failures(rows, prefix=""):
-    """One warning per distinct sample error, with its count."""
-    for error, count in Counter(r.error for r in rows if r.error).items():
-        warnings.warn(f"{prefix}{count} failed sample(s): {error}")
+    """One warning per cause of failed samples: its count and first error.
+
+    A cause is the error text with its numbers masked, so errors that differ
+    only in a seed id or a community's volume count together.
+    """
+    causes = {}
+    for r in rows:
+        if r.error:
+            causes.setdefault(re.sub(r"\d+", "#", r.error), []).append(r.error)
+    for first, *more in causes.values():
+        example = f", e.g. {first}" if more else f": {first}"
+        warnings.warn(f"{prefix}{1 + len(more)} failed sample(s){example}")
 
 
 def _sbm_priors(args):
@@ -189,14 +198,15 @@ def cmd_generate(args):
     cmty_path = f"{args.out}.cmty"
     # The edge list names only nodes with an edge, so the truth may name no other.
     truth = [{i for i in members if graph.degree(i)} for members in truth]
-    left_out = graph.node_count - sum(map(len, truth))
+    held = sum(map(len, truth))
+    left_out = graph.node_count - held
     if left_out:
         warnings.warn(f"{cmty_path} leaves out {left_out} node(s) without an edge")
     with open(edges_path, "w") as fh:
         write_edge_list(graph, fh)
     with open(cmty_path, "w") as fh:
         write_communities(truth, graph, fh)
-    print(f"nodes={graph.node_count} edges={graph.edge_count}")
+    print(f"nodes={held} edges={graph.edge_count}")
     print(f"wrote {edges_path} and {cmty_path}")
 
 

@@ -12,12 +12,15 @@ greedy_expand), since a score's per-community prior can price every pair
 below the seed.
 
 Most candidates repeat work already done, and two exact reductions skip it.
-At one community a candidate's stats depend only on its (links, degree)
-class, so an expansion skips a frontier node whose class has already lost
-there; the set of lost classes empties whenever the community changes.
-Restarts from one seed offer many of the same candidates again, and many
-candidates differ only in fields their score does not read, so detect
-scores each distinct value of those fields (SCORE_READS) once per call.
+At one community a candidate's n and w depend only on its links, and its v
+and sumsq_alpha_d also on its degree. A score reads some of these fields
+(SCORE_READS), so a frontier node's class of the fields the score reads is
+its links when the score reads only n and w (aSBM), and its (links,
+degree) otherwise (aDCBM, and any scorer passed without that knowledge).
+An expansion skips a frontier node whose class has already lost there; the
+set of lost classes empties whenever the community changes. Restarts from
+one seed offer many of the same candidates again, so detect scores each
+distinct value of the fields read once per call.
 
 A candidate is a CommunityStats named tuple built by add_node_delta; the
 memo keys on a plain tuple of its fields, hashed and compared in C.
@@ -27,12 +30,11 @@ module's names (a tracer, a test's monkeypatch) sees every call.
 """
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .dcbm import DcbmPriors, adcbm_log_score, formal_n_totals
-from .graph import add_node_delta, community_stats
+from .graph import CommunityStats, add_node_delta, community_stats
 from .rng import derived_rng
 from .sbm import SbmPriors, asbm_log_score
 
@@ -80,42 +82,48 @@ MAX_PASSES = 100
 FIRST_STEP_CAP = 4
 
 # The CommunityStats fields each method's score reads, which key detect's
-# memo: asbm_log_score reads n and w only, adcbm_log_score all four fields.
-SCORE_READS = {"asbm": itemgetter(0, 1), "adcbm": itemgetter(0, 1, 2, 3)}
+# memo and choose the skip's classes: asbm_log_score reads n and w only,
+# adcbm_log_score all four fields.
+SCORE_READS = {"asbm": ("n", "w"), "adcbm": CommunityStats._fields}
+# The fields a candidate's degree sets; a score that reads neither prices
+# frontier nodes by their links alone.
+_DEGREE_FIELDS = {"v", "sumsq_alpha_d"}
 
 
 def _grow(graph, members, links, u):
     """Add frontier node u to members and move its edges into links."""
     members.add(u)
     del links[u]
+    get = links.get
     for x in graph.neighbors(u).tolist():
         if x not in members:
-            links[x] += 1
+            links[x] = get(x, 0) + 1
 
 
-def _first_step(graph, members, links, stats, score, scorer, alpha, priced):
+def _first_step(graph, members, links, stats, score, scorer, alpha, priced, reads_degree):
     """Leave a bare seed whose every single addition scores below it.
 
     Adds the best-scoring frontier node (the lowest id among ties), even at
     a loss, up to FIRST_STEP_CAP times, on copies of members and links.
-    Nodes of one (links, degree) class score alike, so each step prices
-    only its lowest id; the first step takes its classes' scores from
-    priced ({class: score} at the bare seed) instead of pricing them again.
+    Nodes of one class of the fields the score reads (links, with the
+    degree when reads_degree) score alike, so each step prices only its
+    lowest id; the first step takes its classes' scores from priced
+    ({class: score} at the bare seed) instead of pricing them again.
 
     Returns:
         (members, links, stats, score) of the first prefix that scores above
         score, or None when no prefix within the cap does.
     """
-    members, links = set(members), Counter(links)
+    members, links = set(members), dict(links)
     for _ in range(FIRST_STEP_CAP):
         lowest = {}
         for u in sorted(links):
-            lowest.setdefault((links[u], graph.degree(u)), u)
+            lowest.setdefault((links[u], graph.degree(u)) if reads_degree else links[u], u)
         best = None
         for cls, u in lowest.items():
             cand_score = priced.get(cls)
             if cand_score is None:
-                cand_score = scorer(add_node_delta(stats, graph, u, cls[0], alpha))
+                cand_score = scorer(add_node_delta(stats, graph, u, links[u], alpha))
             if best is None or cand_score > best[0]:
                 best = (cand_score, u)
         if best is None:
@@ -129,7 +137,7 @@ def _first_step(graph, members, links, stats, score, scorer, alpha, priced):
     return None
 
 
-def greedy_expand(graph, seed, scorer, rng, alpha=1.0):
+def greedy_expand(graph, seed, scorer, rng, alpha=1.0, reads_degree=True):
     """One greedy expansion from a single seed node.
 
     A pass that adds nothing ends the expansion, except when the community
@@ -139,9 +147,11 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0):
     per-community prior can make every pair score below the seed even when
     the seed's whole community scores above it.
 
-    A frontier node whose (links, degree) class already lost at the current
-    community is skipped without building its stats: it would build the
-    same stats and, for a pure scorer, get the same score.
+    A frontier node whose class of the fields the score reads already lost
+    at the current community is skipped without building its stats: it
+    would build the same values of those fields and, for a pure scorer, get
+    the same score. The class is (links, degree), or links alone when
+    reads_degree is False.
 
     Args:
         graph: Graph.
@@ -150,6 +160,8 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0):
             function of the stats, which the skip relies on.
         rng: numpy Generator driving the frontier shuffles.
         alpha: Gamma shape used in the incremental sufficient statistics.
+        reads_degree: False only for a scorer that reads neither v nor
+            sumsq_alpha_d, the two fields a candidate's degree sets.
 
     Returns:
         DetectionResult. An isolated seed returns its singleton with a
@@ -169,9 +181,11 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0):
         return DetectionResult({seed}, score, stats, passes=0)
 
     # Frontier node -> number of its edges into the community.
-    links = Counter(graph.neighbors(seed).tolist())
-    # (links, degree) class -> its losing score at the current community:
-    # any node of such a class would build the same stats there and lose
+    links = {}
+    for x in graph.neighbors(seed).tolist():
+        links[x] = links.get(x, 0) + 1
+    # Class -> its losing score at the current community: any node of that
+    # class would build the same values of the fields read there and lose
     # again.
     rejected = {}
     passes = 0
@@ -182,7 +196,7 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0):
         added_any = False
         for u in order:
             link = links[u]
-            cls = (link, graph.degree(u))
+            cls = (link, graph.degree(u)) if reads_degree else link
             if cls in rejected:
                 continue
             cand = add_node_delta(stats, graph, u, link, alpha)
@@ -199,7 +213,7 @@ def greedy_expand(graph, seed, scorer, rng, alpha=1.0):
             grown = None
             if len(members) == 1:
                 grown = _first_step(graph, members, links, stats, score, scorer, alpha,
-                                    rejected)
+                                    rejected, reads_degree)
             if grown is None:
                 break
             members, links, stats, score = grown
@@ -228,15 +242,18 @@ def detect(graph, seed, cfg):
     deterministic even if restarts were run concurrently. The score is a
     pure function of the CommunityStats fields it reads (SCORE_READS: n and
     w for aSBM, all four for aDCBM), so each distinct value of them is
-    scored once per call and reused by every restart; the result is the
-    same as scoring every candidate afresh.
+    scored once per call and reused by every restart, and each expansion
+    skips by the class of those fields; the result is the same as scoring
+    every candidate afresh.
 
     Raises:
         ValueError: if seed is outside [0, N) (greedy_expand checks it
         before the first candidate).
     """
     score_of, alpha = make_scorer(graph, cfg)
-    key_of = SCORE_READS[cfg.method]
+    reads = SCORE_READS[cfg.method]
+    key_of = itemgetter(*map(CommunityStats._fields.index, reads))
+    reads_degree = not _DEGREE_FIELDS.isdisjoint(reads)
     memo = {}
 
     def scorer(stats):
@@ -249,7 +266,8 @@ def detect(graph, seed, cfg):
     best = None
     for r in range(cfg.restarts):
         rng = derived_rng(cfg.rng_seed, r)
-        result = greedy_expand(graph, seed, scorer, rng, alpha=alpha)
+        result = greedy_expand(graph, seed, scorer, rng, alpha=alpha,
+                               reads_degree=reads_degree)
         result.restart_index = r
         if best is None or result.log_score > best.log_score:
             best = result

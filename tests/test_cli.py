@@ -244,7 +244,7 @@ class TestGenerate:
                        "--out", "sp", "--rng-seed", "1"])
         captured = capsys.readouterr()
         assert rc == 0
-        assert captured.out == "nodes=100 edges=51\nwrote sp.edges and sp.cmty\n"
+        assert captured.out == "nodes=62 edges=51\nwrote sp.edges and sp.cmty\n"
         note = "sp.cmty leaves out 38 node(s) without an edge"
         assert captured.err == f"warning: {note}\n"
         assert json.loads(open("sp.manifest.json").read())["notes"] == note
@@ -583,10 +583,10 @@ class TestInputFiles:
             ["external", "0", "4", "0", "0.000000", "0.000000", "0.000000", "1.000000"],
             ["external", "6", "4", "4", "1.000000", "1.000000", "1.000000", "0.000000"],
         ]
-        notes = ["1 failed sample(s): ValueError: seed 9 missing from the recovered set",
-                 "1 failed sample(s): ValueError: seed 0 missing from the recovered set"]
-        assert captured.err == "".join(f"warning: {n}\n" for n in notes)
-        assert json.loads(open("m.json").read())["notes"] == "; ".join(notes)
+        # Both failures have one cause, so one note counts them.
+        note = "2 failed sample(s), e.g. ValueError: seed 9 missing from the recovered set"
+        assert captured.err == f"warning: {note}\n"
+        assert json.loads(open("m.json").read())["notes"] == note
 
     def test_nsweep_failed_samples_name_their_error(self, in_tmp, capsys):
         write_cliques_fixture(in_tmp)
@@ -601,6 +601,42 @@ class TestInputFiles:
         assert err[0].startswith("warning: --formal-n 2: 1 failed sample(s): ValueError: ")
         notes = json.loads(open("nsweep.manifest.json").read())["notes"]
         assert notes == err[0].removeprefix("warning: ")
+
+    def test_nsweep_counts_one_cause_once_per_formal_n(self, in_tmp, capsys):
+        # Every sample fails at formal N 5 and 30 on one cause, worded with
+        # its own community volume; each formal N gets one note.
+        assert cli.main(["generate", "--model", "dcbm", "--communities", "6",
+                         "--size", "15", "--lambda-in", "0.2", "--lambda-out", "0.01",
+                         "--alpha", "3", "--theta", "1", "--rng-seed", "4",
+                         "--out", "rp"]) == 0
+        capsys.readouterr()
+        rc = cli.main(["nsweep", "--graph", "rp.edges", "--communities", "rp.cmty",
+                       "--n-values", "5,30,1000", "--samples", "4", "--restarts", "2"])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        for line, formal_n in zip(err, (5, 30)):
+            assert line.startswith(f"warning: --formal-n {formal_n}: 4 failed sample(s), "
+                                   "e.g. ValueError: community volume ")
+            assert "exceeds twice the edge count" in line
+
+    def test_failure_causes_keep_their_first_seen_order(self, monkeypatch):
+        # A cause is the error text with its numbers masked.
+        errors = ["ValueError: seed 9 missing from the recovered set",
+                  "", "ValueError: community volume 83 exceeds twice the edge count 39.6",
+                  "ValueError: seed 10 missing from the recovered set",
+                  "ValueError: community volume 95 exceeds twice the edge count 39.6"]
+        warned = []
+        monkeypatch.setattr(cli.warnings, "warn", warned.append)
+        cli._warn_failures([argparse.Namespace(error=e) for e in errors], "p: ")
+        assert warned == [
+            "p: 2 failed sample(s), e.g. ValueError: seed 9 missing from the recovered set",
+            "p: 2 failed sample(s), e.g. ValueError: community volume 83 exceeds twice "
+            "the edge count 39.6",
+        ]
+        warned.clear()
+        cli._warn_failures([argparse.Namespace(error=errors[0])])
+        assert warned == ["1 failed sample(s): " + errors[0]]
 
     def test_failed_sample_names_the_seed_by_its_file_id(self, in_tmp, capsys):
         # File ids 10..15 are dense indices 0..5, so seed 11 is index 1.

@@ -453,3 +453,127 @@ class TestLinkCountsMatchScratchStats:
             assert got.log_score == want.log_score
             assert got.stats == want.stats
             assert (got.restart_index, got.passes) == (want.restart_index, want.passes)
+
+
+def skip_cases():
+    """(graph, seed, rng_seed, formal_N) cases of the planted and bridge fixtures."""
+    planted, bridge = planted_fixture(), bridge_graph()
+    return [(planted, seed, rng_seed, None)
+            for seed, rng_seed in ((0, 0), (17, 5), (33, 11), (58, 3))] + [
+        (planted, 30, 1, 20),
+        (planted, 12, 2, 6),   # every candidate scores -inf
+        (bridge, 0, 0, None),  # the first-step fallback
+        (bridge, 5, 2, None),
+        (bridge, 0, 4, 6),
+    ]
+
+
+class TestSkipByWhatTheScoreReads:
+    # reference_detect calls greedy_expand as for a scorer it knows nothing
+    # about, so a class that lost there is a (links, degree) class.
+
+    def test_asbm_detect_equals_the_degree_keyed_search(self):
+        for graph, seed, rng_seed, formal_n in skip_cases():
+            cfg = SearchConfig(method="asbm", restarts=5, rng_seed=rng_seed,
+                               formal_N=formal_n)
+            got, want = detect(graph, seed, cfg), reference_detect(graph, seed, cfg)
+            assert got.members == want.members
+            assert got.log_score == want.log_score
+            assert got.stats == want.stats
+            assert (got.restart_index, got.passes) == (want.restart_index, want.passes)
+
+    @pytest.mark.parametrize("graph_fn", [planted_fixture, bridge_graph])
+    def test_asbm_detect_raises_the_degree_keyed_searchs_error(self, graph_fn):
+        # At formal N 3 a candidate of 4 nodes outgrows the score's totals.
+        cfg = SearchConfig(method="asbm", restarts=3, rng_seed=1, formal_N=3)
+        errors = []
+        for search in (detect, reference_detect):
+            with pytest.raises(ValueError) as caught:
+                search(graph_fn(), 0, cfg)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1] == "community size 4 exceeds total node count 3.0"
+
+    @pytest.mark.parametrize("method", ["asbm", "adcbm"])
+    def test_asbm_builds_fewer_candidates_and_adcbm_as_many(self, monkeypatch, method):
+        builds = Counter()
+        build = local_search.add_node_delta
+
+        def counting(*args):
+            builds[search] += 1  # the search running now
+            return build(*args)
+
+        monkeypatch.setattr(local_search, "add_node_delta", counting)
+        # At formal N 6 the aDCBM score raises; count complete searches.
+        for graph, seed, rng_seed, formal_n in skip_cases():
+            if formal_n is not None:
+                continue
+            cfg = SearchConfig(method=method, restarts=5, rng_seed=rng_seed)
+            for search in (detect, reference_detect):
+                search(graph, seed, cfg)
+        if method == "asbm":
+            assert 0 < builds[detect] < builds[reference_detect]
+        else:
+            assert 0 < builds[detect] == builds[reference_detect]
+
+
+class ReadRecordingGraph(Graph):
+    """Graph that records whose neighbour list and whose degree are read."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.neighbor_reads, self.degree_reads = set(), set()
+
+    def neighbors(self, i):
+        self.neighbor_reads.add(i)
+        return super().neighbors(i)
+
+    def degree(self, i):
+        self.degree_reads.add(i)
+        return super().degree(i)
+
+
+def with_copies(graph, copies_before, copies_after):
+    """The graph among disjoint copies of itself; returns (graph, offset)."""
+    n = graph.node_count
+    pairs = [(i, int(j)) for i in range(n) for j in graph.neighbors(i) if i < j]
+    edges = [(i + c * n, j + c * n) for c in range(copies_before + 1 + copies_after)
+             for i, j in pairs]
+    total = n * (copies_before + 1 + copies_after)
+    return ReadRecordingGraph(total, edges), copies_before * n
+
+
+class TestReadLocality:
+    @pytest.mark.parametrize("method", ["asbm", "adcbm"])
+    @pytest.mark.parametrize("graph_fn,seed,fallback", [
+        (planted_fixture, 17, False), (planted_fixture, 40, False), (bridge_graph, 0, True)])
+    def test_disjoint_copies_change_no_result_and_no_read(self, monkeypatch, method,
+                                                          graph_fn, seed, fallback):
+        # A fixed formal N and the copies' equal mean degree keep the
+        # score's totals; the search then reads the same lists either way.
+        base = graph_fn()
+        cfg = SearchConfig(method=method, restarts=4, rng_seed=seed, formal_N=base.node_count)
+        expand, first_step = local_search.greedy_expand, local_search._first_step
+        restarts, fallbacks = [], []
+
+        def recording_expand(*args, **kwargs):
+            result = expand(*args, **kwargs)
+            restarts.append(result.members)
+            return result
+
+        def recording_first_step(*args):
+            fallbacks.append(args[1])
+            return first_step(*args)
+
+        monkeypatch.setattr(local_search, "greedy_expand", recording_expand)
+        monkeypatch.setattr(local_search, "_first_step", recording_first_step)
+        runs = []
+        for before, after in ((0, 0), (1, 2)):
+            graph, offset = with_copies(base, before, after)
+            restarts.clear()
+            res = detect(graph, seed + offset, cfg)
+            assert graph.neighbor_reads <= set().union(*restarts)
+            runs.append((res.log_score, res.stats, res.restart_index, res.passes)
+                        + tuple({u - offset for u in nodes} for nodes in
+                                (res.members, graph.neighbor_reads, graph.degree_reads)))
+        assert runs[0] == runs[1]
+        assert bool(fallbacks) == fallback
