@@ -121,10 +121,10 @@ def objective_value(graph, partition, objective, priors):
     """Objective of a full partition.
 
     gSBM: exact marginal likelihood plus the partition prior. gDCBM: the
-    variational bound after converging the surrogate (tol 1e-8, at most 200
-    sweeps) plus the partition prior. A Partition from louvain on the same
-    graph object with equal priors lends its fits, so a labelling that
-    louvain fitted is not fitted again.
+    variational bound after converging the surrogate (to VB_TOL, in at most
+    VB_MAX_SWEEPS sweeps) plus the partition prior. A Partition from louvain
+    on the same graph object with equal priors lends its fits, so a
+    labelling that louvain fitted is not fitted again.
     """
     if isinstance(partition, Partition):
         assignment, fits = partition.assignment, partition._fits
@@ -282,12 +282,17 @@ class _FrozenDcbmGain:
     the factors frozen, the bound gains d_log = E[log lambda_in] -
     E[log lambda_out] per within-community edge and loses d_mean =
     E[lambda_in] - E[lambda_out] per unit of within-community sum of
-    E[d_i] E[d_j], tracked through per-super-node and per-community sums of
-    E[d] and E[d]^2. Both rate shapes are at least alpha, so the moments
-    are finite at every partition.
+    E[d_i] E[d_j], which is (S^2 - Q) / 2 for a community whose E[d] sum is
+    S and whose E[d]^2 sum is Q. Moving super-node u (sums s_u, q_u) from a
+    to b moves q_u from Q_a to Q_b, so the Q terms cancel and the sum
+    changes by s_u (S_b + s_u - S_a): _SbmGain's pair shift with E[d] in
+    place of size, and Newman's generalised-modularity move (PRE 94,
+    052315, 2016) at the frozen rates. Only the per-super-node and
+    per-community E[d] sums are kept. Both rate shapes are at least alpha,
+    so the moments are finite at every partition.
     """
 
-    links_size_only = False  # a move's change also reads b's sums of E[d]
+    links_size_only = False  # a move's change also reads b's sum of E[d]
 
     def __init__(self, orig_to_super, comm, fits):
         state, self.bound = fits.fit(comm[orig_to_super])
@@ -296,25 +301,17 @@ class _FrozenDcbmGain:
         self.d_mean = state.a_in * state.s_in - state.a_out * state.s_out
         e_d = (fits.priors.alpha + fits.graph.degrees.astype(float)) * state.theta_d
         s_u = np.bincount(orig_to_super, weights=e_d, minlength=len(comm))
-        q_u = np.bincount(orig_to_super, weights=e_d * e_d, minlength=len(comm))
-        self.s_u, self.q_u = s_u.tolist(), q_u.tolist()
+        self.s_u = s_u.tolist()
         self.c_s = dict(enumerate(np.bincount(comm, weights=s_u).tolist()))
-        self.c_q = dict(enumerate(np.bincount(comm, weights=q_u).tolist()))
 
     def move(self, u, a, b, d_e, s_u, s_a, s_b):
         """Change when super-node u leaves community a for b (-1: a new one)."""
-        su, qu = self.s_u[u], self.q_u[u]
-        sa, qa = self.c_s[a], self.c_q[a]
-        sb, qb = self.c_s.get(b, 0.0), self.c_q.get(b, 0.0)
-        d_same = (((sa - su) ** 2 - (qa - qu)) / 2.0 - (sa * sa - qa) / 2.0
-                  + ((sb + su) ** 2 - (qb + qu)) / 2.0 - (sb * sb - qb) / 2.0)
-        return d_e * self.d_log - self.d_mean * d_same
+        su, sa, sb = self.s_u[u], self.c_s[a], self.c_s.get(b, 0.0)
+        return d_e * self.d_log - self.d_mean * (su * (sb + su - sa))
 
     def apply_move(self, u, a, b, d_e, s_u, s_a, s_b):
         self.c_s[a] -= self.s_u[u]
-        self.c_q[a] -= self.q_u[u]
         self.c_s[b] = self.c_s.get(b, 0.0) + self.s_u[u]
-        self.c_q[b] = self.c_q.get(b, 0.0) + self.q_u[u]
 
 
 def _neighbor_comm_weights(sup, comm, u):

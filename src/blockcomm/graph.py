@@ -30,15 +30,12 @@ class Graph:
         node_labels: dict external id -> dense internal index (identity-free
             graphs built in memory use i -> i).
         external_ids: list, inverse of node_labels.
-        dropped_duplicates / dropped_self_loops: counts of input lines that
-            were ignored to keep the graph simple.
     """
 
     __slots__ = ("node_count", "edge_count", "indptr", "indices", "degrees", "_degree_list",
-                 "node_labels", "external_ids", "dropped_duplicates", "dropped_self_loops")
+                 "node_labels", "external_ids")
 
-    def __init__(self, node_count, edges, external_ids=None,
-                 dropped_duplicates=0, dropped_self_loops=0):
+    def __init__(self, node_count, edges, external_ids=None):
         """Build from (i, j) dense-index pairs (a sequence or an (M, 2) array).
 
         Raises:
@@ -81,8 +78,6 @@ class Graph:
             external_ids = list(range(node_count))
         self.node_labels = {ext: i for i, ext in enumerate(external_ids)}
         self.external_ids = external_ids
-        self.dropped_duplicates = dropped_duplicates
-        self.dropped_self_loops = dropped_self_loops
 
     @classmethod
     def from_edges(cls, *args, **kwargs):
@@ -154,8 +149,8 @@ def load_edge_list(stream):
 
     Lines starting with '#' and blank lines are ignored. Node ids of any
     size get dense indices in order of first appearance. Duplicate edges
-    (either orientation) and self-loops are dropped; their counts end up on
-    the returned Graph and trigger one summary warning.
+    (either orientation) and self-loops are dropped, and one summary warning
+    gives their counts.
 
     The lines are parsed in bulk by numpy when they are ASCII, hold no
     comment after an edge, and every id fits in int64; anything else (and
@@ -194,8 +189,7 @@ def load_edge_list(stream):
     dup = len(ends) - loops - len(keys)
     if dup or loops:
         warnings.warn(f"dropped {dup} duplicate edge(s) and {loops} self-loop(s)")
-    return Graph(n, np.column_stack((keys // n, keys % n)), external_ids=external_ids,
-                 dropped_duplicates=dup, dropped_self_loops=loops)
+    return Graph(n, np.column_stack((keys // n, keys % n)), external_ids=external_ids)
 
 
 # A line with something other than whitespace before its first '#': the

@@ -1,17 +1,21 @@
 """Byte-identity pins of the gSBM gain, recorded before it kept each distinct
-shift's change between applied moves and merges.
+shift's change between applied moves and merges, and of the gDCBM Louvain,
+recorded before its frozen gain dropped the per-community E[d]^2 sums.
 
-The reference is a copy of the gain it replaced (code verbatim, docstrings
-cut to one line), which prices every change from scratch. Random walks of
-interleaved moves and merges compare every priced change and the tracked
-likelihood with ==, re-pricing earlier shifts after each applied change so
-that a change kept past an apply would show. Whole Louvain runs, with the
-reference gain patched in and without, compare their partitions and
-objectives with ==; gDCBM's bootstrap prices its proposals with the gain.
+Each reference is a copy of the gain it replaced (code verbatim, docstrings
+cut to one line). The gSBM one prices every change from scratch. Random
+walks of interleaved moves and merges compare every priced change and the
+tracked likelihood with ==, re-pricing earlier shifts after each applied
+change so that a change kept past an apply would show. Whole Louvain runs,
+with a reference gain patched in and without, compare their partitions and
+objectives with ==.
 """
+
+import math
 
 import numpy as np
 import pytest
+from scipy.special import psi
 
 from blockcomm import global_search
 from blockcomm.dcbm import DcbmPriors
@@ -66,6 +70,39 @@ class RefSbmGain:
 
     def apply_merge(self, a, b, e_ab, s_a, s_b):
         self._apply(e_ab, s_a * s_b)
+
+
+class RefFrozenDcbmGain:
+    """gDCBM bound change of a single-node move under a frozen surrogate."""
+
+    links_size_only = False  # a move's change also reads b's sums of E[d]
+
+    def __init__(self, orig_to_super, comm, fits):
+        state, self.bound = fits.fit(comm[orig_to_super])
+        self.d_log = ((float(psi(state.a_in)) + math.log(state.s_in))
+                      - (float(psi(state.a_out)) + math.log(state.s_out)))
+        self.d_mean = state.a_in * state.s_in - state.a_out * state.s_out
+        e_d = (fits.priors.alpha + fits.graph.degrees.astype(float)) * state.theta_d
+        s_u = np.bincount(orig_to_super, weights=e_d, minlength=len(comm))
+        q_u = np.bincount(orig_to_super, weights=e_d * e_d, minlength=len(comm))
+        self.s_u, self.q_u = s_u.tolist(), q_u.tolist()
+        self.c_s = dict(enumerate(np.bincount(comm, weights=s_u).tolist()))
+        self.c_q = dict(enumerate(np.bincount(comm, weights=q_u).tolist()))
+
+    def move(self, u, a, b, d_e, s_u, s_a, s_b):
+        """Change when super-node u leaves community a for b (-1: a new one)."""
+        su, qu = self.s_u[u], self.q_u[u]
+        sa, qa = self.c_s[a], self.c_q[a]
+        sb, qb = self.c_s.get(b, 0.0), self.c_q.get(b, 0.0)
+        d_same = (((sa - su) ** 2 - (qa - qu)) / 2.0 - (sa * sa - qa) / 2.0
+                  + ((sb + su) ** 2 - (qb + qu)) / 2.0 - (sb * sb - qb) / 2.0)
+        return d_e * self.d_log - self.d_mean * d_same
+
+    def apply_move(self, u, a, b, d_e, s_u, s_a, s_b):
+        self.c_s[a] -= self.s_u[u]
+        self.c_q[a] -= self.q_u[u]
+        self.c_s[b] = self.c_s.get(b, 0.0) + self.s_u[u]
+        self.c_q[b] = self.c_q.get(b, 0.0) + self.q_u[u]
 
 
 PRIOR_CASES = [SbmPriors(), SbmPriors(2.0, 3.0, 2.5)]
@@ -154,13 +191,20 @@ def louvain_graphs():
 LOUVAIN_GRAPHS = louvain_graphs()
 
 
-@pytest.mark.parametrize("objective, priors", [("gsbm", SbmPriors()), ("gdcbm", DcbmPriors())],
-                         ids=["gsbm", "gdcbm"])
+# Each case: the objective, its priors, the gain patched, and its reference.
+# gDCBM's bootstrap prices its proposals with the gSBM gain; its moves with
+# the frozen gain, whose reference kept the per-community E[d]^2 sums.
+@pytest.mark.parametrize("objective, priors, gain_name, ref_class", [
+    ("gsbm", SbmPriors(), "_SbmGain", RefSbmGain),
+    ("gdcbm", DcbmPriors(), "_SbmGain", RefSbmGain),
+    ("gdcbm", DcbmPriors(), "_FrozenDcbmGain", RefFrozenDcbmGain),
+], ids=["gsbm", "gdcbm", "gdcbm-frozen"])
 @pytest.mark.parametrize("name, graph", LOUVAIN_GRAPHS, ids=[n for n, _ in LOUVAIN_GRAPHS])
-def test_louvain_equals_the_from_scratch_gain(name, graph, objective, priors, monkeypatch):
+def test_louvain_equals_the_from_scratch_gain(name, graph, objective, priors, gain_name,
+                                               ref_class, monkeypatch):
     runs = []
-    for gain_class in (RefSbmGain, _SbmGain):
-        monkeypatch.setattr(global_search, "_SbmGain", gain_class)
+    for gain_class in (ref_class, getattr(global_search, gain_name)):
+        monkeypatch.setattr(global_search, gain_name, gain_class)
         runs.append([louvain(graph, objective, priors, make_rng(seed)) for seed in range(3)])
     for ref, got in zip(*runs):
         assert np.array_equal(got.assignment, ref.assignment)

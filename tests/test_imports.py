@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, every
 module-level function, class or constant is read somewhere in the package
 outside its own definition (a re-export in __init__.py counts as a read),
-and importing the package and its CLI leaves scipy.stats and
-scipy.sparse.csgraph unloaded.
+every instance attribute a method stores (self.name = ...) is read as an
+attribute somewhere under src/, and importing the package and its CLI
+leaves scipy.stats and scipy.sparse.csgraph unloaded.
 
 No linter ships with the project, so this parses each module with ast.
 __init__.py is exempt from the import check: its imports are the package's
@@ -119,6 +120,40 @@ def test_checker_finds_unread_publics():
 def test_no_unread_public_definitions():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unread_publics(sources) == []
+
+
+def unread_attributes(sources):
+    """module.name of each attribute stored on self (self.name = ..., also
+    in a tuple target or an augmented assignment) in sources ({module:
+    source}) that no attribute expression in sources reads."""
+    stored, read = set(), set()
+    for module, source in sources.items():
+        for n in ast.walk(ast.parse(source)):
+            if not isinstance(n, ast.Attribute):
+                continue
+            if isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif (isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name)
+                  and n.value.id == "self"):
+                stored.add((module, n.attr))
+    return sorted(f"{module}.{name}" for module, name in stored if name not in read)
+
+
+def test_checker_finds_unread_attributes():
+    sources = {
+        "a": "class A:\n    def __init__(self, x):\n        self.kept, self.lost = x, x\n"
+             "        self.total = 0\n        self.count = 0\n        self.table = {}\n"
+             "    def add(self, k):\n        self.total += k\n        self.count += 1\n"
+             "        self.table[k] = self.total\n",
+        "b": "def use(a):\n    return a.kept\n",
+    }
+    assert unread_attributes(sources) == ["a.count", "a.lost"]
+
+
+def test_no_unread_instance_attributes():
+    sources = {str(p.relative_to(SRC.parent).with_suffix("")): p.read_text()
+               for p in SRC.parent.rglob("*.py")}
+    assert unread_attributes(sources) == []
 
 
 def test_import_leaves_scipy_stats_unloaded():
